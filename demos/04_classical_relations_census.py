@@ -4,10 +4,10 @@ The census of classical relations
 
 Classical relations are the maps that carry basis data to basis data:
 relations satisfying both comonoid-homomorphism equations.  They are the
-only blackboxes the oracle construction accepts.  Exhaustive search over
-all candidate relations recovers the full census for small bases, and
-every member passes the self-conjugacy condition that oracle unitarity
-rests on.
+only blackboxes the oracle construction accepts.  The census is built from
+the group structure: each source copy picks one target copy and one group
+homomorphism into its own group.  Every member passes the self-conjugacy
+condition that oracle unitarity rests on.
 """
 
 from qcrel import (

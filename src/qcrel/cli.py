@@ -10,7 +10,7 @@ Verbs:
 
 Outputs are deterministic: pair lists are sorted and JSON keys have a fixed
 order, so identical inputs produce byte-identical output.  QCREL_THREADS
-caps enumeration parallelism without affecting results.  Exit codes: 0 ok,
+is accepted and ignored; enumeration is single-threaded.  Exit codes: 0 ok,
 1 input error, 2 verification property violated.
 """
 
@@ -105,7 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all classical relations between two groupoids")
     p.add_argument("--from", dest="source", required=True, help="source groupoid spec")
     p.add_argument("--to", dest="target", required=True, help="target groupoid spec")
-    p.add_argument("--budget", type=int, default=24, help="max candidate-space bits")
+    p.add_argument("--budget", type=int, default=1 << 16,
+                   help="max relations listed (default 65536); a larger census is refused")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check-relation", help="evaluate all five predicates for a relation")
@@ -172,7 +173,7 @@ def _cmd_verify_structure(args) -> int:
 def _cmd_enumerate(args) -> int:
     source = parse_groupoid_spec(args.source)
     target = parse_groupoid_spec(args.target)
-    for rel in enumerate_classical_relations(source, target, max_candidate_bits=args.budget):
+    for rel in enumerate_classical_relations(source, target, max_relations=args.budget):
         print(rel.to_json())
     return 0
 

@@ -4,7 +4,11 @@ The predicates here decide, for a relation between two groupoids, whether it
 preserves multiplication (groupoid homomorphism relation), the full monoid
 structure, or the dual comonoid structure.  Comonoid homomorphism relations
 are the *classical relations*: the relations that carry basis data to basis
-data, and the admissible blackbox content of a unitary oracle.
+data, and the admissible blackbox content of a unitary oracle.  Their census
+is built from the group structure, not searched for: each source copy picks
+one target copy and one group homomorphism from the target group into the
+source group (Pavlovic, arXiv:0812.2266; Heunen-Contreras-Cattaneo,
+arXiv:1112.1284).
 
 Set-multiplication convention: for subsets A, B of a groupoid, A * B collects
 the defined products only; undefined products contribute nothing.  The
@@ -14,14 +18,13 @@ an undefined product read as the empty set.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from itertools import product
+from math import gcd, prod
 from typing import NamedTuple
 
-from .groupoids import Groupoid
+from .groupoids import AbelianGroup, Groupoid
 from .relations import FinRel, tensor, then
 
 
@@ -162,85 +165,62 @@ def is_self_conjugate(s: StructuredRel) -> bool:
     return True
 
 
-def _counit_allowed_images(source: Groupoid, target: Groupoid) -> list[list[frozenset[int]]]:
-    """Per source element, the image sets compatible with the counit equation:
-    an element may touch a target identity iff it is a source identity."""
-    target_ids = set(target.identities())
-    non_ids = [t for t in range(target.size) if t not in target_ids]
-    all_subsets_non_id = _subsets(non_ids)
-    all_subsets = _subsets(list(range(target.size)))
-    touching = [s for s in all_subsets if s & target_ids]
-    out = []
-    for e in range(source.size):
-        out.append(touching if source.is_identity(e) else all_subsets_non_id)
-    return out
-
-
-def _subsets(elems: list[int]) -> list[frozenset[int]]:
-    subs = []
-    for mask in range(1 << len(elems)):
-        subs.append(frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1))
-    return subs
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("QCREL_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QCREL_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
+def _homomorphisms(h: AbelianGroup, g: AbelianGroup) -> list[tuple[int, ...]]:
+    """Every group homomorphism H -> G, each as the table of its values on the
+    flat elements of H.  Generator i of H (order h_i) may go to any element of
+    G whose j-th coordinate is a multiple of g_j / gcd(h_i, g_j)."""
+    per_generator = [
+        list(product(*(range(0, gj, gj // gcd(hi, gj)) for gj in g.cyclic_orders)))
+        for hi in h.cyclic_orders
+    ]
+    # zip(*images) gives, per coordinate of G, that coordinate of each generator's image.
+    return [
+        tuple(g.flat([sum(c * v for c, v in zip(h.coords(x), column)) for column in zip(*images)])
+              for x in range(h.order))
+        for images in product(*per_generator)
+    ]
 
 
 def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
-                                  max_candidate_bits: int = 24,
-                                  threads: int | None = None) -> list[FinRel]:
+                                  max_relations: int = 1 << 16) -> list[FinRel]:
     """All classical relations source -> target, canonically sorted.
 
-    Brute force over the candidate space with exact pruning on the counit
-    equation (the pruning drops only relations that fail it, so the result
-    equals the unpruned scan).  Candidate ranges may be evaluated in
-    parallel; the output is sorted by pair-set lexicographic order and does
-    not depend on the schedule.
+    With source = copies_A copies of G and target = copies_B copies of H, a
+    classical relation picks, for each source copy i, one target copy j and
+    one group homomorphism phi: H -> G; copy i of the relation is then
+    {(i*|G| + phi(h), j*|H| + h) : h in H}.  This is the Rel reading of
+    comonoid homomorphisms between groupoid Frobenius algebras (Pavlovic,
+    arXiv:0812.2266; Heunen-Contreras-Cattaneo, arXiv:1112.1284), so the
+    census has (copies_B * |Hom(H, G)|) ** copies_A members, with
+    |Hom(H, G)| = prod gcd(h_i, g_j).  That count is checked against
+    ``max_relations`` before anything is built.
+
+    The output is sorted by pair-set lexicographic order.  Every copy
+    contributes |H| pairs in its own source block, so listing the per-copy
+    blocks in sorted order and taking their product in that order is already
+    sorted.
     """
-    bits = source.size * target.size
-    if bits > max_candidate_bits:
+    g, h = source.base, target.base
+    per_copy = target.copies * prod(gcd(hi, gj) for hi in h.cyclic_orders for gj in g.cyclic_orders)
+    # Past this many copies a per_copy > 1 census exceeds the budget; the
+    # power itself would be a needlessly huge integer.
+    huge = per_copy > 1 and source.copies > max_relations.bit_length()
+    count = None if huge else per_copy ** source.copies
+    if huge or count > max_relations:
+        exact = "" if huge else f" = {count}"
         raise ValueError(
-            f"candidate space has 2^{bits} relations, beyond the 2^{max_candidate_bits} budget"
+            f"census has {per_copy}^{source.copies}{exact} classical relations, "
+            f"beyond the budget of {max_relations}"
         )
-    if threads is None:
-        threads = _threads_from_env()
 
-    choices = _counit_allowed_images(source, target)
-    radices = [len(c) for c in choices]
-    total = prod(radices)
-
-    def candidate(index: int) -> FinRel:
-        imgs = []
-        for c, radix in zip(reversed(choices), reversed(radices)):
-            index, r = divmod(index, radix)
-            imgs.append(c[r])
-        imgs.reverse()
-        pairs = [(a, b) for a, img in enumerate(imgs) for b in img]
-        return FinRel(source.size, target.size, pairs)
-
-    def scan(start: int, stop: int) -> list[FinRel]:
-        found = []
-        for idx in range(start, stop):
-            rel = candidate(idx)
-            if is_classical_relation(StructuredRel(rel, source, target)):
-                found.append(rel)
-        return found
-
-    if threads <= 1 or total < 2 * threads:
-        results = scan(0, total)
-    else:
-        step = -(-total // threads)
-        bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda b: scan(*b), bounds))
-        results = [rel for chunk in chunks for rel in chunk]
-
-    return sorted(results, key=lambda r: r.sorted_pairs())
+    ng, nh = g.order, h.order
+    blocks = sorted(
+        tuple(sorted((phi[y], j * nh + y) for y in range(nh)))
+        for j in range(target.copies)
+        for phi in _homomorphisms(h, g)
+    )
+    return [
+        FinRel(source.size, target.size,
+               [(i * ng + a, b) for i, block in enumerate(choice) for (a, b) in block])
+        for choice in product(blocks, repeat=source.copies)
+    ]

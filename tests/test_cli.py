@@ -74,8 +74,27 @@ class TestEnumerateCommand:
         out = capsys.readouterr().out
         assert out == (GOLDEN / "classical_z3_z3.jsonl").read_text()
 
-    def test_budget_error(self, capsys):
-        assert main(["enumerate", "--from", "Z5", "--to", "Z5", "--budget", "24"]) == 1
+    def test_budget_counts_listed_relations(self, capsys):
+        assert main(["enumerate", "--from", "Z2^2", "--to", "Z2^2", "--budget", "15"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "16 classical relations" in captured.err
+        assert main(["enumerate", "--from", "Z2^2", "--to", "Z2^2", "--budget", "16"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 16
+
+    def test_default_budget_refuses_huge_census(self, capsys):
+        # 64^4 relations; the closed form refuses it before anything is built.
+        assert main(["enumerate", "--from", "Z2xZ2^4", "--to", "Z2xZ2^4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "16777216 classical relations" in captured.err
+
+    def test_census_beyond_candidate_scan(self, capsys):
+        # 2^24 candidate relations, but only 3^8 classical ones.
+        assert main(["enumerate", "--from", "Z1^8", "--to", "Z1^3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6561
+        assert all(json.loads(line)["dom"] == 8 for line in lines)
 
 
 class TestCheckRelation:

@@ -1,7 +1,10 @@
 import json
+from itertools import combinations, product
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrel.groupoids import parse_groupoid_spec
 from qcrel.hom_relations import (
@@ -32,6 +35,39 @@ def all_subsets(src, tgt):
     n = len(cells)
     for mask in range(1 << n):
         yield FinRel(src.size, tgt.size, (cells[i] for i in range(n) if mask >> i & 1))
+
+
+def reference_classical_relations(src, tgt):
+    """The brute-force reference for the structural enumerator: scan every
+    relation that passes the counit equation (exactly the source identities
+    touch target identities), keep those that also pass the comultiplication
+    equation, and sort by pair list."""
+    target_ids = set(tgt.identities())
+    subsets = [frozenset(c) for k in range(tgt.size + 1)
+               for c in combinations(range(tgt.size), k)]
+    touching = [s for s in subsets if s & target_ids]
+    avoiding = [s for s in subsets if not s & target_ids]
+    choices = [touching if src.is_identity(a) else avoiding for a in range(src.size)]
+    found = []
+    for images in product(*choices):
+        rel = FinRel(src.size, tgt.size, [(a, b) for a, img in enumerate(images) for b in img])
+        if is_classical_relation(StructuredRel(rel, src, tgt)):
+            found.append(rel)
+    return sorted(found, key=lambda r: r.sorted_pairs())
+
+
+def census_size(src, tgt):
+    """(copies_B * |Hom(H, G)|) ** copies_A with |Hom(H, G)| = prod gcd(h_i, g_j)."""
+    homs = prod(gcd(h, g) for h in tgt.base.cyclic_orders for g in src.base.cyclic_orders)
+    return (tgt.copies * homs) ** src.copies
+
+
+REFERENCE_SPECS = ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2^2", "Z1^2", "Z1^3",
+                   "Z1^4", "Z2xZ2", "Z3^2", "Z2^3", "Z2xZ3", "Z2xZ2^2", "Z4^2")
+REFERENCE_PAIRS = [
+    (a, b) for a in REFERENCE_SPECS for b in REFERENCE_SPECS
+    if parse_groupoid_spec(a).size * parse_groupoid_spec(b).size <= 12
+]
 
 
 def load_golden(name):
@@ -144,15 +180,27 @@ class TestEnumeration:
             key=lambda r: r.sorted_pairs())
         assert pruned == plain
 
-    def test_threaded_result_identical(self):
-        assert enumerate_classical_relations(Z22, Z22, threads=4) \
-            == enumerate_classical_relations(Z22, Z22, threads=1)
+    @pytest.mark.parametrize("a,b", REFERENCE_PAIRS, ids=[f"{a}->{b}" for a, b in REFERENCE_PAIRS])
+    def test_structural_equals_reference(self, a, b):
+        src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
+        assert enumerate_classical_relations(src, tgt) == reference_classical_relations(src, tgt)
 
-    def test_budget_enforced(self):
-        with pytest.raises(ValueError, match="2\\^25"):
-            enumerate_classical_relations(parse_groupoid_spec("Z5"),
-                                          parse_groupoid_spec("Z5"),
-                                          max_candidate_bits=24)
+    def test_budget_counts_relations(self):
+        assert len(enumerate_classical_relations(Z22, Z22, max_relations=16)) == 16
+        with pytest.raises(ValueError, match="4\\^2 = 16 classical relations"):
+            enumerate_classical_relations(Z22, Z22, max_relations=15)
+
+    def test_budget_refuses_huge_copy_count_without_the_power(self):
+        with pytest.raises(ValueError, match="census has 2\\^1000000 classical relations"):
+            enumerate_classical_relations(parse_groupoid_spec("Z1^1000000"),
+                                          parse_groupoid_spec("Z1^2"))
+
+    def test_five_by_five_is_listed(self):
+        # 25 candidate bits, which the scan refused; the census is Hom(Z5, Z5).
+        z5 = parse_groupoid_spec("Z5")
+        rels = enumerate_classical_relations(z5, z5)
+        assert len(rels) == 5
+        assert all(is_classical_relation(StructuredRel(r, z5, z5)) for r in rels)
 
     def test_closed_under_converse_on_z3(self):
         rels = {r.pairs for r in enumerate_classical_relations(Z3, Z3)}
@@ -190,3 +238,32 @@ class TestHomSurjectiveInterplay:
                 c = StructuredRel(rel.converse(), src, src)
                 assert is_groupoid_hom_relation(c)
                 assert is_surjective_on_objects(c)
+
+
+GROUPOID_SPECS = st.builds(
+    lambda orders, copies: "x".join(f"Z{n}" for n in orders) + f"^{copies}",
+    st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(GROUPOID_SPECS, GROUPOID_SPECS)
+def test_census_characterization(a, b):
+    src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
+    count = census_size(src, tgt)
+    if count > 1:
+        with pytest.raises(ValueError, match=f"= {count} classical relations"):
+            enumerate_classical_relations(src, tgt, max_relations=count - 1)
+    if src.size * tgt.size <= 12:
+        assert enumerate_classical_relations(src, tgt) == reference_classical_relations(src, tgt)
+    if count > 4096:
+        return
+    rels = enumerate_classical_relations(src, tgt)
+    assert len(rels) == count
+    keys = [r.sorted_pairs() for r in rels]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    # The comonoid equations cost up to tens of ms per relation on the largest
+    # groupoids here, so the member-by-member check is limited by total size.
+    if count * src.size * tgt.size <= 1 << 16:
+        assert all(is_classical_relation(StructuredRel(r, src, tgt)) for r in rels)
