@@ -16,7 +16,7 @@ the two differ (see the diagnostics fields and README notes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .groupoids import ComplementaryPair, fourier_rel
 from .hom_relations import StructuredRel, is_classical_relation
@@ -71,14 +71,45 @@ class RunReport:
         }
 
 
-def _require_classical(f: StructuredRel, role: str, unchecked: bool) -> None:
+def _validate(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: StructuredRel,
+              unchecked: bool, role: str, first: str, sigma: Optional[StateVec] = None) -> None:
+    """The checks every instance runs, in this order: f's ends, the marker on
+    the second system (``sigma``, or for DJ its second X-classical state),
+    complementarity of both pairs, and f being classical unless ``unchecked``."""
+    if f.source != pair_in.z:
+        raise ValueError(f"{role} must start at the {first} Z-basis")
+    if f.target != pair_out.z:
+        raise ValueError(f"{role} must land in the second system's Z-basis")
+    if sigma is None and pair_out.g.order < 2:
+        raise ValueError("second system's X-basis needs at least two classical states")
+    if sigma is not None and sigma not in pair_out.x_classical_states():
+        raise ValueError("sigma must be a classical state of the second system's X-basis")
+    for pair, name in ((pair_in, first), (pair_out, "second system's")):
+        if not pair.is_complementary_pair():
+            raise ValueError(f"{name} bases are not complementary under the supplied recoding")
     if not unchecked and not is_classical_relation(f):
-        raise ValueError(f"{role} must be a classical relation")
+        raise ValueError(f"{role} relation must be a classical relation")
 
 
-def _require_complementary(pair: ComplementaryPair, name: str) -> None:
-    if not pair.is_complementary_pair():
-        raise ValueError(f"{name} bases are not complementary under the supplied recoding")
+def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: StructuredRel,
+                  marker: StateVec, candidates: list[StateVec],
+                  diffusion: Optional[FinRel] = None) -> tuple[FinRel, list[FinRel]]:
+    """The pipeline all three runners share: prepare (first X-classical state
+    of ``pair_in``) x ``marker``, query the oracle once, apply ``diffusion`` to
+    the first system if given, and post-select the first system on each
+    candidate's effect.
+
+    ``candidates`` are X-classical states of ``pair_in``, starting with the
+    first, which is also the prepared state.  Returns the oracle and one
+    composite per candidate.  The oracle is built unchecked because the
+    instance has already run the classical-relation check it asked for.
+    """
+    oracle = build_oracle(OracleSpec(pair_in.z, pair_out, f), unchecked=True)
+    n_out = pair_out.size
+    evolved = then(tensor(candidates[0].as_ket(), marker.as_ket()), oracle)
+    if diffusion is not None:
+        evolved = then(evolved, tensor(diffusion, identity(n_out)))
+    return oracle, [then(evolved, tensor(rho.as_bra(), identity(n_out))) for rho in candidates]
 
 
 @dataclass(frozen=True)
@@ -92,15 +123,7 @@ class DJInstance:
     unchecked: bool = False
 
     def __post_init__(self) -> None:
-        if self.f.source != self.pair_a.z:
-            raise ValueError("blackbox must start at the first system's Z-basis")
-        if self.f.target != self.pair_b.z:
-            raise ValueError("blackbox must land in the second system's Z-basis")
-        if self.pair_b.g.order < 2:
-            raise ValueError("second system's X-basis needs at least two classical states")
-        _require_complementary(self.pair_a, "first system's")
-        _require_complementary(self.pair_b, "second system's")
-        _require_classical(self.f, "blackbox relation", self.unchecked)
+        _validate(self.pair_a, self.pair_b, self.f, self.unchecked, "blackbox", "first system's")
 
 
 def dj_classify(inst: DJInstance) -> str:
@@ -127,18 +150,15 @@ def dj_run(inst: DJInstance) -> RunReport:
     The composite is (first X_A-classical effect x id) after the oracle after
     the (first X_A-classical x second X_B-classical) preparation; the decision
     scalar tests the second system's output against the second X_B-classical
-    state.  For square pairs the pre-basis-change pipeline is also built and
-    must produce the identical relation.
+    state.  When both pairs are canonical and square the pre-basis-change
+    pipeline is also built and must produce the identical relation; the
+    basis-change bijection knows only the canonical recoding.
     """
     pair_a, pair_b, f = inst.pair_a, inst.pair_b, inst.f
-    na, nb = pair_a.size, pair_b.size
-    oracle = build_oracle(OracleSpec(pair_a.z, pair_b, f), unchecked=inst.unchecked)
+    nb = pair_b.size
     h0a = pair_a.x_classical_states()[0]
     h1b = pair_b.x_classical_states()[1]
-
-    prep = tensor(h0a.as_ket(), h1b.as_ket())
-    post = tensor(h0a.as_bra(), identity(nb))
-    composite = then(then(prep, oracle), post)
+    oracle, (composite,) = _single_query(pair_a, pair_b, f, h1b, [h0a])
     b_out = StateVec(nb, composite.image({0}))
     composite_scalar = born_scalar(h1b, b_out)
 
@@ -157,8 +177,7 @@ def dj_run(inst: DJInstance) -> RunReport:
     }
     composites = {"pipeline": composite}
 
-    square = (pair_a.g.order == pair_a.h.order and pair_b.g.order == pair_b.h.order)
-    if square:
+    if all(p.canonical and p.g.order == p.h.order for p in (pair_a, pair_b)):
         ft_a, ft_b = fourier_rel(pair_a), fourier_rel(pair_b)
         g0a = pair_a.z.classical_states()[0]
         g1b = pair_b.z.classical_states()[1]
@@ -192,6 +211,73 @@ def dj_run(inst: DJInstance) -> RunReport:
     )
 
 
+def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
+                   pair_s: ComplementaryPair, pair_b: ComplementaryPair,
+                   law_key: str, law: Callable[..., bool], allowed: bool,
+                   diffusion: Optional[tuple[FinRel, bool]] = None,
+                   verification: Optional[StateVec] = None) -> RunReport:
+    """The candidate loop of the search and identification runners.
+
+    Every X-classical state rho of ``pair_s`` gets its raw pipeline composite
+    and its outcome-law scalar ``law(inst, rho)``; rho is a decision-level
+    outcome when that scalar equals ``allowed``.  ``diffusion`` is the
+    reflection and its bijectivity flag; ``verification``, when given, is the
+    state every rho is also tested against.
+    """
+    d, d_unitary = diffusion if diffusion is not None else (None, None)
+    candidates = pair_s.x_classical_states()
+    oracle, pipelines = _single_query(pair_s, pair_b, inst.f, inst.sigma, candidates, d)
+
+    scalars: dict[str, bool] = {}
+    composites: dict[str, FinRel] = {}
+    outcomes = []
+    composite_outcomes = []
+    verification_outcomes = []
+    agreement = []
+    for i, (rho, pipeline) in enumerate(zip(candidates, pipelines)):
+        composites[f"rho{i}"] = pipeline
+        pipeline_possible = bool(pipeline.pairs)
+        value = law(inst, rho)
+        decided = value == allowed
+        scalars[f"rho{i}_composite"] = pipeline_possible
+        scalars[f"rho{i}_{law_key}"] = value
+        if decided:
+            outcomes.append(rho)
+        if pipeline_possible:
+            composite_outcomes.append(rho.sorted_members())
+        if verification is not None:
+            verified = bool(born_scalar(rho, verification))
+            scalars[f"rho{i}_verification"] = verified
+            if verified:
+                verification_outcomes.append(rho.sorted_members())
+        agreement.append(pipeline_possible == decided)
+
+    oracle_unitary = is_unitary(oracle)
+    diagnostics = {
+        "diffusion_unitary": d_unitary,
+        "oracle_unitary": oracle_unitary,
+        "composite_possible_outcomes": composite_outcomes,
+        "composite_agrees_with_decision": agreement,
+        "physical_evolution": oracle_unitary and (diffusion is None or d_unitary),
+    }
+    if verification is not None:
+        diagnostics["verification_possible_outcomes"] = verification_outcomes
+    return RunReport(
+        algorithm=algorithm,
+        instance={
+            "pairS": pair_s.spec(),
+            "pairB": pair_b.spec(),
+            "f": inst.f.rel.to_json_dict(),
+            "sigma": inst.sigma.sorted_members(),
+        },
+        decision=None,
+        possible_outcomes=tuple(outcomes),
+        scalars=scalars,
+        diagnostics=diagnostics,
+        composites=composites,
+    )
+
+
 @dataclass(frozen=True)
 class GroverInstance:
     """Single-step search instance: the indicator relation marks elements of
@@ -204,15 +290,8 @@ class GroverInstance:
     unchecked: bool = False
 
     def __post_init__(self) -> None:
-        if self.f.source != self.pair_s.z:
-            raise ValueError("indicator must start at the search system's Z-basis")
-        if self.f.target != self.pair_b.z:
-            raise ValueError("indicator must land in the second system's Z-basis")
-        if self.sigma not in self.pair_b.x_classical_states():
-            raise ValueError("sigma must be a classical state of the second system's X-basis")
-        _require_complementary(self.pair_s, "search system's")
-        _require_complementary(self.pair_b, "second system's")
-        _require_classical(self.f, "indicator relation", self.unchecked)
+        _validate(self.pair_s, self.pair_b, self.f, self.unchecked, "indicator",
+                  "search system's", self.sigma)
 
 
 def grover_diffusion(pair_s: ComplementaryPair) -> tuple[FinRel, bool]:
@@ -265,56 +344,9 @@ def grover_run(inst: GroverInstance) -> RunReport:
     a per-candidate agreement flag: for some indicators the raw composite
     keeps an outcome possible that the law rules out.
     """
-    pair_s, pair_b, f, sigma = inst.pair_s, inst.pair_b, inst.f, inst.sigma
-    ns, nb = pair_s.size, pair_b.size
-    oracle = build_oracle(OracleSpec(pair_s.z, pair_b, f), unchecked=inst.unchecked)
-    d, d_unitary = grover_diffusion(pair_s)
-    h0 = pair_s.x_classical_states()[0]
-
-    prep = tensor(h0.as_ket(), sigma.as_ket())
-    evolved = then(then(prep, oracle), tensor(d, identity(nb)))
-
-    candidates = pair_s.x_classical_states()
-    scalars: dict[str, bool] = {}
-    composites: dict[str, FinRel] = {}
-    outcomes = []
-    composite_outcomes = []
-    agreement = []
-    for i, rho in enumerate(candidates):
-        pipeline = then(evolved, tensor(rho.as_bra(), identity(nb)))
-        composites[f"rho{i}"] = pipeline
-        pipeline_possible = bool(pipeline.pairs)
-        zero = grover_zero_condition(inst, rho)
-        scalars[f"rho{i}_composite"] = pipeline_possible
-        scalars[f"rho{i}_zero_condition"] = zero
-        if not zero:
-            outcomes.append(rho)
-        if pipeline_possible:
-            composite_outcomes.append(rho.sorted_members())
-        agreement.append(pipeline_possible == (not zero))
-
-    oracle_unitary = is_unitary(oracle)
-    diagnostics = {
-        "diffusion_unitary": d_unitary,
-        "oracle_unitary": oracle_unitary,
-        "composite_possible_outcomes": composite_outcomes,
-        "composite_agrees_with_decision": agreement,
-        "physical_evolution": oracle_unitary and d_unitary,
-    }
-    return RunReport(
-        algorithm="grover",
-        instance={
-            "pairS": pair_s.spec(),
-            "pairB": pair_b.spec(),
-            "f": f.rel.to_json_dict(),
-            "sigma": sigma.sorted_members(),
-        },
-        decision=None,
-        possible_outcomes=tuple(outcomes),
-        scalars=scalars,
-        diagnostics=diagnostics,
-        composites=composites,
-    )
+    return _candidate_run("grover", inst, inst.pair_s, inst.pair_b,
+                          "zero_condition", grover_zero_condition, False,
+                          diffusion=grover_diffusion(inst.pair_s))
 
 
 @dataclass(frozen=True)
@@ -330,15 +362,8 @@ class HomIDInstance:
     unchecked: bool = False
 
     def __post_init__(self) -> None:
-        if self.f.source != self.pair_g.z:
-            raise ValueError("blackbox must start at the first system's Z-basis")
-        if self.f.target != self.pair_a.z:
-            raise ValueError("blackbox must land in the second system's Z-basis")
-        if self.sigma not in self.pair_a.x_classical_states():
-            raise ValueError("sigma must be a classical state of the second system's X-basis")
-        _require_complementary(self.pair_g, "first system's")
-        _require_complementary(self.pair_a, "second system's")
-        _require_classical(self.f, "blackbox relation", self.unchecked)
+        _validate(self.pair_g, self.pair_a, self.f, self.unchecked, "blackbox",
+                  "first system's", self.sigma)
 
 
 def grouphomid_necessary(inst: HomIDInstance, rho: StateVec) -> bool:
@@ -363,59 +388,6 @@ def grouphomid_run(inst: HomIDInstance) -> RunReport:
     through the blackbox converse against rho); both can be strictly finer
     than the decision rule.
     """
-    pair_g, pair_a, f, sigma = inst.pair_g, inst.pair_a, inst.f, inst.sigma
-    ng, na = pair_g.size, pair_a.size
-    oracle = build_oracle(OracleSpec(pair_g.z, pair_a, f), unchecked=inst.unchecked)
-    h0 = pair_g.x_classical_states()[0]
-
-    prep = tensor(h0.as_ket(), sigma.as_ket())
-    evolved = then(prep, oracle)
-
-    candidates = pair_g.x_classical_states()
-    scalars: dict[str, bool] = {}
-    composites: dict[str, FinRel] = {}
-    outcomes = []
-    composite_outcomes = []
-    verification_outcomes = []
-    agreement = []
-    for i, rho in enumerate(candidates):
-        pipeline = then(evolved, tensor(rho.as_bra(), identity(na)))
-        composites[f"rho{i}"] = pipeline
-        pipeline_possible = bool(pipeline.pairs)
-        verification = then(then(sigma.as_ket(), f.rel.converse()), rho.as_bra())
-        verification_possible = bool(verification.pairs)
-        necessary = grouphomid_necessary(inst, rho)
-        scalars[f"rho{i}_composite"] = pipeline_possible
-        scalars[f"rho{i}_verification"] = verification_possible
-        scalars[f"rho{i}_witness"] = necessary
-        if necessary:
-            outcomes.append(rho)
-        if pipeline_possible:
-            composite_outcomes.append(rho.sorted_members())
-        if verification_possible:
-            verification_outcomes.append(rho.sorted_members())
-        agreement.append(pipeline_possible == necessary)
-
-    oracle_unitary = is_unitary(oracle)
-    diagnostics = {
-        "diffusion_unitary": None,
-        "oracle_unitary": oracle_unitary,
-        "composite_possible_outcomes": composite_outcomes,
-        "verification_possible_outcomes": verification_outcomes,
-        "composite_agrees_with_decision": agreement,
-        "physical_evolution": oracle_unitary,
-    }
-    return RunReport(
-        algorithm="homid",
-        instance={
-            "pairS": pair_g.spec(),
-            "pairB": pair_a.spec(),
-            "f": f.rel.to_json_dict(),
-            "sigma": sigma.sorted_members(),
-        },
-        decision=None,
-        possible_outcomes=tuple(outcomes),
-        scalars=scalars,
-        diagnostics=diagnostics,
-        composites=composites,
-    )
+    pulled_back = StateVec.from_ket(then(inst.sigma.as_ket(), inst.f.rel.converse()))
+    return _candidate_run("homid", inst, inst.pair_g, inst.pair_a,
+                          "witness", grouphomid_necessary, True, verification=pulled_back)

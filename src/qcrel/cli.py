@@ -94,6 +94,18 @@ def _parse_pair_argument(spec: str, recode: Optional[str]) -> ComplementaryPair:
     return ComplementaryPair(pair.g, pair.h, x_recode=perm)
 
 
+# The run verbs: help, first system's letter, blackbox role, takes --sigma, instance
+# class, runner (looked up by name when called, so a tracer's wrapper sees the call).
+_RUN_VERBS = {
+    "dj": ("run the constant-vs-balanced distinguisher", "A", "blackbox", False,
+           DJInstance, lambda inst: dj_run(inst)),
+    "grover": ("run the single-step search", "S", "indicator", True,
+               GroverInstance, lambda inst: grover_run(inst)),
+    "homid": ("run the homomorphism identification step", "S", "blackbox", True,
+              HomIDInstance, lambda inst: grouphomid_run(inst)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -115,38 +127,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", required=True, help="relation file (JSON)")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("dj", help="run the constant-vs-balanced distinguisher")
-    p.add_argument("--pairA", required=True, help="pair spec, e.g. pair(Z2,Z2)")
-    p.add_argument("--pairB", required=True)
-    p.add_argument("--oracle", required=True, help="blackbox relation file (JSON)")
-    p.add_argument("--recodeA", help="advanced: explicit X recoding for system A")
-    p.add_argument("--recodeB", help="advanced: explicit X recoding for system B")
-    p.add_argument("--unchecked", action="store_true",
-                   help="skip the classical-relation check on the blackbox")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("grover", help="run the single-step search")
-    p.add_argument("--pairS", required=True)
-    p.add_argument("--pairB", required=True)
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--sigma", type=int, required=True,
-                   help="index of the marking X_B-classical state")
-    p.add_argument("--recodeS", help="advanced: explicit X recoding for system S")
-    p.add_argument("--recodeB", help="advanced: explicit X recoding for system B")
-    p.add_argument("--unchecked", action="store_true",
-                   help="skip the classical-relation check on the indicator")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("homid", help="run the homomorphism identification step")
-    p.add_argument("--pairS", required=True)
-    p.add_argument("--pairB", required=True)
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--recodeS", help="advanced: explicit X recoding for system S")
-    p.add_argument("--recodeB", help="advanced: explicit X recoding for system B")
-    p.add_argument("--unchecked", action="store_true",
-                   help="skip the classical-relation check on the blackbox")
-    p.add_argument("--json", action="store_true")
+    for verb, (help_text, first, role, marked, _, _) in _RUN_VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument(f"--pair{first}", required=True, help="pair spec, e.g. pair(Z2,Z2)")
+        p.add_argument("--pairB", required=True)
+        p.add_argument("--oracle", required=True, help=f"{role} relation file (JSON)")
+        if marked:
+            p.add_argument("--sigma", type=int, required=True,
+                           help="index of the marking X_B-classical state")
+        p.add_argument(f"--recode{first}", help=f"advanced: explicit X recoding for system {first}")
+        p.add_argument("--recodeB", help="advanced: explicit X recoding for system B")
+        p.add_argument("--unchecked", action="store_true",
+                       help=f"skip the classical-relation check on the {role}")
+        p.add_argument("--json", action="store_true")
 
     return parser
 
@@ -199,31 +192,13 @@ def _cmd_check_relation(args) -> int:
     return 0
 
 
-def _cmd_dj(args) -> int:
-    pair_a = _parse_pair_argument(args.pairA, args.recodeA)
+def _cmd_run(args) -> int:
+    _, first, _, marked, instance, run = _RUN_VERBS[args.verb]
+    pair_in = _parse_pair_argument(getattr(args, f"pair{first}"), getattr(args, f"recode{first}"))
     pair_b = _parse_pair_argument(args.pairB, args.recodeB)
-    f = StructuredRel(parse_relation_file(args.oracle), pair_a.z, pair_b.z)
-    report = dj_run(DJInstance(pair_a, pair_b, f, unchecked=args.unchecked))
-    print(emit_report(report, "json" if args.json else "human"))
-    return 0
-
-
-def _cmd_grover(args) -> int:
-    pair_s = _parse_pair_argument(args.pairS, args.recodeS)
-    pair_b = _parse_pair_argument(args.pairB, args.recodeB)
-    f = StructuredRel(parse_relation_file(args.oracle), pair_s.z, pair_b.z)
-    sigma = _sigma_state(pair_b, args.sigma)
-    report = grover_run(GroverInstance(pair_s, pair_b, f, sigma, unchecked=args.unchecked))
-    print(emit_report(report, "json" if args.json else "human"))
-    return 0
-
-
-def _cmd_homid(args) -> int:
-    pair_s = _parse_pair_argument(args.pairS, args.recodeS)
-    pair_b = _parse_pair_argument(args.pairB, args.recodeB)
-    f = StructuredRel(parse_relation_file(args.oracle), pair_s.z, pair_b.z)
-    sigma = _sigma_state(pair_b, args.sigma)
-    report = grouphomid_run(HomIDInstance(pair_s, pair_b, f, sigma, unchecked=args.unchecked))
+    f = StructuredRel(parse_relation_file(args.oracle), pair_in.z, pair_b.z)
+    sigma = (_sigma_state(pair_b, args.sigma),) if marked else ()
+    report = run(instance(pair_in, pair_b, f, *sigma, unchecked=args.unchecked))
     print(emit_report(report, "json" if args.json else "human"))
     return 0
 
@@ -232,9 +207,7 @@ _COMMANDS = {
     "verify-structure": _cmd_verify_structure,
     "enumerate": _cmd_enumerate,
     "check-relation": _cmd_check_relation,
-    "dj": _cmd_dj,
-    "grover": _cmd_grover,
-    "homid": _cmd_homid,
+    **dict.fromkeys(_RUN_VERBS, _cmd_run),
 }
 
 

@@ -14,9 +14,9 @@ classes), glued by the canonical recoding that sends the Z-label
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .relations import (
     FinRel,
@@ -225,6 +225,13 @@ def _canonical_recode(g_order: int, h_order: int) -> tuple[int, ...]:
     return tuple(recode)
 
 
+def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    inverse = [0] * len(perm)
+    for underlying, xcode in enumerate(perm):
+        inverse[xcode] = underlying
+    return tuple(inverse)
+
+
 @dataclass(frozen=True)
 class ComplementaryPair:
     """Two groupoid bases on one underlying set, in the canonical mutually
@@ -241,6 +248,7 @@ class ComplementaryPair:
     x: Groupoid
     x_recode: tuple[int, ...]
     canonical: bool
+    x_recode_inverse: tuple[int, ...] = field(repr=False, compare=False)
 
     def __init__(self, g: AbelianGroup, h: AbelianGroup,
                  x_recode: Optional[Sequence[int]] = None) -> None:
@@ -260,6 +268,7 @@ class ComplementaryPair:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "x_recode", recode)
         object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "x_recode_inverse", _inverse(recode))
         if canonical:
             # Mutual unbiasedness is structural for the canonical coding; keep it checked.
             z_classical = [s.members for s in self.z.classical_states()]
@@ -272,9 +281,7 @@ class ComplementaryPair:
         return self.z.size
 
     def _from_x(self, states: list[StateVec]) -> list[StateVec]:
-        inverse = [0] * self.size
-        for underlying, xcode in enumerate(self.x_recode):
-            inverse[xcode] = underlying
+        inverse = self.x_recode_inverse
         return [StateVec(self.size, (inverse[m] for m in s.members)) for s in states]
 
     def x_classical_states(self) -> list[StateVec]:
@@ -288,15 +295,12 @@ class ComplementaryPair:
     def x_mult(self, u: int, v: int) -> Optional[int]:
         """X's partial multiplication transported to the underlying coding."""
         w = self.x.mult(self.x_recode[u], self.x_recode[v])
-        if w is None:
-            return None
-        inverse = self.x_recode.index(w)  # small sets; fine
-        return inverse
+        return None if w is None else self.x_recode_inverse[w]
 
     def is_complementary_pair(self) -> bool:
         """Whether the two bases really are complementary (always true for the
         canonical coding; an explicit recoding may break it)."""
-        return self.canonical or is_complementary(self.z, self.x, self.x_recode)
+        return self.canonical or is_unitary(cnot(self))
 
     def spec(self) -> str:
         return f"pair({self.g.spec()},{self.h.spec()})"
@@ -306,25 +310,28 @@ def make_complementary_pair(g: AbelianGroup, h: AbelianGroup) -> ComplementaryPa
     return ComplementaryPair(g, h)
 
 
-def _controlled_not(z: Groupoid, x_mult, size: int) -> FinRel:
-    """The abstract controlled-not {((x,y),(a, b*y)) with a.b = x} on size*size."""
+def _controlled_not(z: Groupoid, f_pairs: Iterable[tuple[int, int]], x_mult,
+                    size_out: int) -> FinRel:
+    """The controlled relation {((x,y),(a, c*y)) : a.b = x in ``z``, (b,c) in f,
+    c*y defined by ``x_mult``} on z.size*size_out.  The controlled-not is the
+    case f = identity; a blackbox oracle passes its classical relation."""
     pairs = set()
     n = z.base.order
-    for i in range(z.copies):
-        block = i * n
+    for (b, c) in f_pairs:
+        block = (b // n) * n
         for a in range(block, block + n):
-            for b in range(block, block + n):
-                xx = z.mult(a, b)
-                for y in range(size):
-                    w = x_mult(b, y)
-                    if w is not None:
-                        pairs.add((xx * size + y, a * size + w))
-    return FinRel(size * size, size * size, pairs)
+            x = z.mult(a, b)
+            for y in range(size_out):
+                w = x_mult(c, y)
+                if w is not None:
+                    pairs.add((x * size_out + y, a * size_out + w))
+    size = z.size * size_out
+    return FinRel(size, size, pairs)
 
 
 def cnot(pair: ComplementaryPair) -> FinRel:
     """The controlled-not of the pair: copy in Z, then multiply in X."""
-    return _controlled_not(pair.z, pair.x_mult, pair.size)
+    return _controlled_not(pair.z, ((b, b) for b in range(pair.size)), pair.x_mult, pair.size)
 
 
 def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
@@ -336,15 +343,13 @@ def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
     recode = tuple(int(v) for v in recode)
     if sorted(recode) != list(range(z.size)):
         raise ValueError("recode must be a permutation of the underlying set")
-    inverse = [0] * x.size
-    for underlying, xcode in enumerate(recode):
-        inverse[xcode] = underlying
+    inverse = _inverse(recode)
 
     def x_mult(u: int, v: int) -> Optional[int]:
         w = x.mult(recode[u], recode[v])
         return None if w is None else inverse[w]
 
-    return is_unitary(_controlled_not(z, x_mult, z.size))
+    return is_unitary(_controlled_not(z, ((b, b) for b in range(z.size)), x_mult, z.size))
 
 
 def fourier_rel(pair: ComplementaryPair) -> FinRel:

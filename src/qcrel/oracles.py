@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .groupoids import (
     ComplementaryPair,
     Groupoid,
+    _controlled_not,
     parse_groupoid_spec,
     parse_pair_spec,
 )
@@ -85,21 +86,4 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
                 + " and ".join(failing) + " equation fails "
                 "(pass unchecked=True to build it anyway)"
             )
-    za, pair_b = spec.za, spec.pair_b
-    na, nb = za.size, pair_b.size
-    pairs = set()
-    n = za.base.order
-    for (b, c) in spec.f.rel.pairs:
-        block = (b // n) * n
-        for a in range(block, block + n):
-            x = za.mult(a, b)
-            for y in range(nb):
-                w = pair_b.x_mult(c, y)
-                if w is not None:
-                    pairs.add((x * nb + y, a * nb + w))
-    return FinRel(na * nb, na * nb, pairs)
-
-
-def oracle_query_count(report) -> int:
-    """Number of oracle applications inside a run report's composite."""
-    return int(report.queries)
+    return _controlled_not(spec.za, spec.f.rel.pairs, spec.pair_b.x_mult, spec.pair_b.size)

@@ -8,10 +8,8 @@ pure functions, so they can be shared freely across threads.
 
 Composition order
 -----------------
-``then(r, s)`` (and the alias ``compose(r, s)``) applies ``r`` first and
-``s`` second, reading left to right like a pipeline.  The mathematical
-"after" order is available as ``after(s, r)``, which is defined as
-``then(r, s)``.
+``then(r, s)`` applies ``r`` first and ``s`` second, reading left to right
+like a pipeline; the mathematical composite "s after r" is ``then(r, s)``.
 """
 
 from __future__ import annotations
@@ -67,14 +65,8 @@ class FinRel:
         tgt = set(targets)
         return frozenset(a for (a, b) in self.pairs if b in tgt)
 
-    def then(self, other: "FinRel") -> "FinRel":
-        return then(self, other)
-
     def converse(self) -> "FinRel":
         return converse(self)
-
-    def is_empty(self) -> bool:
-        return not self.pairs
 
     def to_json_dict(self) -> dict:
         return {"dom": self.dom_size, "cod": self.cod_size,
@@ -192,16 +184,6 @@ def then(first: FinRel, second: FinRel) -> FinRel:
     return FinRel(first.dom_size, second.cod_size, out)
 
 
-def compose(first: FinRel, second: FinRel) -> FinRel:
-    """Alias for :func:`then`: ``compose(r, s)`` applies ``r`` first."""
-    return then(first, second)
-
-
-def after(second: FinRel, first: FinRel) -> FinRel:
-    """Mathematical order: ``after(q, r)`` is q after r, i.e. ``then(r, q)``."""
-    return then(first, second)
-
-
 def converse(r: FinRel) -> FinRel:
     return FinRel(r.cod_size, r.dom_size, ((b, a) for (a, b) in r.pairs))
 
@@ -246,19 +228,6 @@ def full(n: int, m: int) -> FinRel:
 def swap(n: int, m: int) -> FinRel:
     """The bijection (a, b) -> (b, a) between n*m and m*n under the flat coding."""
     return FinRel(n * m, m * n, ((a * m + b, b * n + a) for a in range(n) for b in range(m)))
-
-
-def primitive(kind: str, n: int, m: int | None = None) -> FinRel:
-    """Dispatcher for the stock relations: identity, empty, full, swap."""
-    if kind == "identity":
-        return identity(n)
-    if kind == "empty":
-        return empty(n, n if m is None else m)
-    if kind == "full":
-        return full(n, n if m is None else m)
-    if kind == "swap":
-        return swap(n, n if m is None else m)
-    raise ValueError(f"unknown primitive relation kind {kind!r}")
 
 
 def is_unitary(r: FinRel) -> bool:

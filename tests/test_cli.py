@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import pytest
 
 from qcrel.algorithms import DJInstance, dj_run
 from qcrel.cli import emit_report, main, parse_relation_file
-from qcrel.groupoids import parse_groupoid_spec, parse_pair_spec
-from qcrel.hom_relations import StructuredRel
+from qcrel.groupoids import ComplementaryPair, parse_groupoid_spec, parse_pair_spec
+from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
 from qcrel.relations import FinRel
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -182,6 +183,43 @@ class TestAlgorithmCommands:
 
     def test_unknown_flag_is_input_error(self):
         assert main(["dj", "--pairA", "pair(Z2,Z2)", "--mystery"]) == 1
+
+
+class TestReportGoldens:
+    """Run-verb stdout and exit codes, frozen byte for byte.
+
+    Each golden line holds an argv whose ``{oracle}`` entry names a file
+    holding the line's ``oracle`` relation, the exit code and the stdout.
+    """
+
+    @pytest.mark.parametrize("verb", ["dj", "grover", "homid"])
+    def test_stdout_matches_golden_bytes(self, verb, tmp_path, capsys):
+        path = tmp_path / "oracle.json"
+        lines = (GOLDEN / f"reports_{verb}.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines
+        for line in lines:
+            case = json.loads(line)
+            path.write_text(json.dumps(case["oracle"]))
+            argv = [str(path) if a == "{oracle}" else a for a in case["argv"]]
+            code = main(argv)
+            assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), argv
+
+
+class TestComplementaryRecodes:
+    @pytest.mark.parametrize("flag", ["--recodeA", "--recodeB"])
+    def test_dj_reports_on_every_recoding(self, flag, tmp_path, capsys):
+        g = parse_pair_spec("pair(Z2,Z2)").g
+        recodes = [",".join(map(str, perm)) for perm in itertools.permutations(range(4))
+                   if ComplementaryPair(g, g, x_recode=perm).is_complementary_pair()]
+        assert len(recodes) == 16
+        z22 = parse_groupoid_spec("Z2^2")
+        for i, rel in enumerate(enumerate_classical_relations(z22, z22)):
+            path = write_rel(tmp_path, rel, f"f{i}.json")
+            for recode in recodes:
+                argv = ["dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)",
+                        "--oracle", path, flag, recode, "--json"]
+                assert main(argv) == 0, argv
+                assert json.loads(capsys.readouterr().out)["algorithm"] == "dj"
 
 
 class TestEmitReport:

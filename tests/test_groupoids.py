@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +141,18 @@ class TestComplementaryPair:
         g = AbelianGroup([2])
         with pytest.raises(ValueError, match="permutation"):
             ComplementaryPair(g, g, x_recode=[0, 0, 1, 2])
+
+    def test_x_mult_matches_recode_index_reference(self):
+        g = AbelianGroup([2])
+        pairs = [ComplementaryPair(g, g, x_recode=p) for p in itertools.permutations(range(4))]
+        pairs = [p for p in pairs if p.is_complementary_pair()]
+        assert len(pairs) == 16
+        for pair in pairs:
+            for u in range(4):
+                for v in range(4):
+                    w = pair.x.mult(pair.x_recode[u], pair.x_recode[v])
+                    expected = None if w is None else pair.x_recode.index(w)
+                    assert pair.x_mult(u, v) == expected
 
 
 class TestCnot:

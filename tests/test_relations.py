@@ -6,17 +6,14 @@ from qcrel.relations import (
     FinRel,
     Scalar,
     StateVec,
-    after,
     as_bool_matrix,
     born_scalar,
-    compose,
     converse,
     empty,
     full,
     identity,
     is_unitary,
     is_unitary_by_composition,
-    primitive,
     swap,
     symmetric_difference,
     tensor,
@@ -48,17 +45,12 @@ class TestCompose:
 
     def test_identity_neutral(self):
         r = rel(3, 2, [(0, 1), (2, 0)])
-        assert compose(identity(3), r) == r
-        assert compose(r, identity(2)) == r
+        assert then(identity(3), r) == r
+        assert then(r, identity(2)) == r
 
     def test_bijection_with_converse(self):
         r = rel(2, 2, [(0, 1), (1, 0)])
-        assert compose(r, converse(r)) == identity(2)
-
-    def test_after_is_flipped_then(self):
-        r = rel(2, 3, [(0, 0), (1, 2)])
-        s = rel(3, 2, [(0, 1), (2, 0)])
-        assert after(s, r) == then(r, s)
+        assert then(r, converse(r)) == identity(2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="middle sizes"):
@@ -197,20 +189,16 @@ class TestBornScalar:
 
 class TestPrimitives:
     def test_swap_two_by_two(self):
-        assert primitive("swap", 2, 2) == rel(4, 4, [(0, 0), (1, 2), (2, 1), (3, 3)])
+        assert swap(2, 2) == rel(4, 4, [(0, 0), (1, 2), (2, 1), (3, 3)])
 
     def test_identity(self):
-        assert primitive("identity", 3) == rel(3, 3, [(0, 0), (1, 1), (2, 2)])
+        assert identity(3) == rel(3, 3, [(0, 0), (1, 1), (2, 2)])
 
     def test_empty(self):
-        assert primitive("empty", 2, 2).pairs == frozenset()
+        assert empty(2, 2).pairs == frozenset()
 
     def test_full(self):
         assert len(full(2, 3).pairs) == 6
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown primitive"):
-            primitive("mystery", 2)
 
     @given(st.integers(1, 4), st.integers(1, 4))
     def test_swap_involution(self, n, m):
