@@ -103,9 +103,6 @@ class Groupoid:
     def copy_of(self, e: int) -> int:
         return e // self.base.order
 
-    def elem_of(self, e: int) -> int:
-        return e % self.base.order
-
     def mult(self, a: int, b: int) -> Optional[int]:
         """The partial product, or None when a and b live in different copies."""
         n = self.base.order
@@ -113,10 +110,6 @@ class Groupoid:
         if ca != cb:
             return None
         return ca * n + self.base.add(a % n, b % n)
-
-    def inv(self, e: int) -> int:
-        n = self.base.order
-        return (e // n) * n + self.base.neg(e % n)
 
     def identities(self) -> list[int]:
         return [i * self.base.order for i in range(self.copies)]
@@ -135,6 +128,13 @@ class Groupoid:
                     a, b = block + x, block + y
                     pairs.append((a * size + b, block + self.base.add(x, y)))
         return FinRel(size * size, size, pairs)
+
+    def inv_rel(self) -> FinRel:
+        """Inversion as a bijection A -> A, each element to its inverse in its own copy."""
+        n = self.base.order
+        return FinRel(self.size, self.size,
+                      ((i * n + x, i * n + self.base.neg(x))
+                       for i in range(self.copies) for x in range(n)))
 
     def unit_state(self) -> StateVec:
         return StateVec(self.size, self.identities())
@@ -353,18 +353,25 @@ def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
 
 
 def fourier_rel(pair: ComplementaryPair) -> FinRel:
-    """The basis-change bijection for a square pair (|G| = |H| = n): i*n+g -> g*n+i.
+    """The basis-change bijection for a canonical square pair (|G| = |H| = n):
+    i*n+g -> g*n+i.
 
     It carries the k-th Z-classical state onto the k-th X-classical state and
     is an involution.  Pairs with |G| != |H| have no such bijection (the two
-    classical-state families have different sizes); prepare and measure
-    X-classical states directly instead (the absorbed form used by the
-    algorithm runners).
+    classical-state families have different sizes), and under a non-canonical
+    ``x_recode`` this bijection misses the X-classical states; for both,
+    prepare and measure X-classical states directly instead (the absorbed form
+    used by the algorithm runners).
     """
     if pair.g.order != pair.h.order:
         raise ValueError(
-            f"no basis-change bijection for pair({pair.g.spec()},{pair.h.spec()}): "
+            f"no basis-change bijection for {pair.spec()}: "
             "|G| != |H|; use absorbed preparation/measurement instead"
+        )
+    if not pair.canonical:
+        raise ValueError(
+            f"no basis-change bijection for {pair.spec()} under a non-canonical "
+            "x_recode; use absorbed preparation/measurement instead"
         )
     n = pair.g.order
     return FinRel(pair.size, pair.size,

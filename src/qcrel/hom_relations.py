@@ -10,16 +10,17 @@ one target copy and one group homomorphism from the target group into the
 source group (Pavlovic, arXiv:0812.2266; Heunen-Contreras-Cattaneo,
 arXiv:1112.1284).
 
-Set-multiplication convention: for subsets A, B of a groupoid, A * B collects
-the defined products only; undefined products contribute nothing.  The
-homomorphism condition is enforced for every source pair, with the image of
-an undefined product read as the empty set.
+Every predicate but surjectivity on objects is decided as an exact equality
+or inclusion of composites in Rel.  Multiplication A*A -> A relates only the
+defined products, so the multiplicative equation mult ; R == (R x R) ; mult
+says R(x*y) == R(x)*R(y) for every source pair (x, y): for subsets U, V of
+the target, U*V collects the defined products only, and an undefined x*y
+has the empty image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
@@ -46,41 +47,11 @@ class StructuredRel:
                 f"relation codomain {self.rel.cod_size} != target groupoid size {self.target.size}"
             )
 
-    @cached_property
-    def images(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.source.size)]
-        for (a, b) in self.rel.pairs:
-            out[a].add(b)
-        return tuple(frozenset(s) for s in out)
 
-    @cached_property
-    def preimages(self) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(self.target.size)]
-        for (a, b) in self.rel.pairs:
-            out[b].add(a)
-        return tuple(frozenset(s) for s in out)
-
-    @cached_property
-    def is_groupoid_hom(self) -> bool:
-        return is_groupoid_hom_relation(self)
-
-    @cached_property
-    def is_monoid_hom(self) -> bool:
-        return is_monoid_hom_relation(self)
-
-    @cached_property
-    def is_classical(self) -> bool:
-        return is_classical_relation(self)
-
-
-def _set_product(target: Groupoid, left: frozenset[int], right: frozenset[int]) -> frozenset[int]:
-    out = set()
-    for u in left:
-        for v in right:
-            w = target.mult(u, v)
-            if w is not None:
-                out.add(w)
-    return frozenset(out)
+def _preserves_mult(s: StructuredRel) -> bool:
+    """The multiplicative equation mult ; R == (R x R) ; mult, built as relations."""
+    r = s.rel
+    return then(s.source.mult_rel(), r) == then(tensor(r, r), s.target.mult_rel())
 
 
 def is_groupoid_hom_relation(s: StructuredRel) -> bool:
@@ -92,30 +63,8 @@ def is_groupoid_hom_relation(s: StructuredRel) -> bool:
     admits relations (the full relation on a one-copy groupoid, for one)
     that break the unit half of the monoid-homomorphism property this
     predicate is meant to feed."""
-    src, tgt = s.source, s.target
-    img = s.images
-    target_ids = frozenset(tgt.identities())
-    for e in src.identities():
-        if not img[e] <= target_ids:
-            return False
-    nothing: frozenset[int] = frozenset()
-    for x in range(src.size):
-        if not img[x]:
-            # R(x) empty forces R(x)*R(y) empty; only R(x*y) needs checking.
-            for y in range(src.size):
-                p = src.mult(x, y)
-                if p is not None and img[p]:
-                    return False
-                q = src.mult(y, x)
-                if q is not None and img[q]:
-                    return False
-            continue
-        for y in range(src.size):
-            p = src.mult(x, y)
-            lhs = img[p] if p is not None else nothing
-            if lhs != _set_product(tgt, img[x], img[y]):
-                return False
-    return True
+    units = then(s.source.unit_state().as_ket(), s.rel)
+    return units.pairs <= s.target.unit_state().as_ket().pairs and _preserves_mult(s)
 
 
 def is_surjective_on_objects(s: StructuredRel) -> bool:
@@ -126,12 +75,8 @@ def is_surjective_on_objects(s: StructuredRel) -> bool:
 
 def is_monoid_hom_relation(s: StructuredRel) -> bool:
     """Exact equality of both monoid-homomorphism equations, built as relations."""
-    r = s.rel
-    mult_ok = (then(s.source.mult_rel(), r)
-               == then(tensor(r, r), s.target.mult_rel()))
-    unit_ok = (then(s.source.unit_state().as_ket(), r)
-               == s.target.unit_state().as_ket())
-    return mult_ok and unit_ok
+    unit_ok = then(s.source.unit_state().as_ket(), s.rel) == s.target.unit_state().as_ket()
+    return unit_ok and _preserves_mult(s)
 
 
 class ClassicalEquations(NamedTuple):
@@ -154,15 +99,9 @@ def is_classical_relation(s: StructuredRel) -> bool:
 
 
 def is_self_conjugate(s: StructuredRel) -> bool:
-    """For every target element t: inverting the preimage of t's inverse gives
-    the preimage of t (inverses taken inside each element's own copy)."""
-    src, tgt = s.source, s.target
-    pre = s.preimages
-    for t in range(tgt.size):
-        flipped = frozenset(src.inv(u) for u in pre[tgt.inv(t)])
-        if flipped != pre[t]:
-            return False
-    return True
+    """Inverting in the source before R equals inverting in the target after
+    it: inv ; R == R ; inv, with inverses taken inside each element's own copy."""
+    return then(s.source.inv_rel(), s.rel) == then(s.rel, s.target.inv_rel())
 
 
 def _homomorphisms(h: AbelianGroup, g: AbelianGroup) -> list[tuple[int, ...]]:

@@ -237,6 +237,19 @@ class TestFourier:
         with pytest.raises(ValueError, match="absorbed"):
             fourier_rel(parse_pair_spec("pair(Z2,Z1)"))
 
+    def test_recoded_pair_rejected(self):
+        g = AbelianGroup([2])
+        pairs = [ComplementaryPair(g, g, x_recode=p) for p in itertools.permutations(range(4))]
+        pairs = [p for p in pairs if p.is_complementary_pair()]
+        recoded = [p for p in pairs if not p.canonical]
+        assert len(recoded) == 15
+        for pair in recoded:
+            with pytest.raises(ValueError, match="non-canonical"):
+                fourier_rel(pair)
+        # The canonical recoding, given explicitly, still has its bijection.
+        (canonical,) = [p for p in pairs if p.canonical]
+        assert fourier_rel(canonical) == fourier_rel(parse_pair_spec("pair(Z2,Z2)"))
+
 
 class TestSpecParsing:
     @pytest.mark.parametrize("text,size", [("Z2^2", 4), ("Z3", 3), ("Z2xZ3^2", 12)])

@@ -56,6 +56,47 @@ def reference_classical_relations(src, tgt):
     return sorted(found, key=lambda r: r.sorted_pairs())
 
 
+def _images(rel):
+    out = [set() for _ in range(rel.dom_size)]
+    for (a, b) in rel.pairs:
+        out[a].add(b)
+    return [frozenset(x) for x in out]
+
+
+def _inverse(g, e):
+    n = g.base.order
+    return (e // n) * n + g.base.neg(e % n)
+
+
+def reference_groupoid_hom(s):
+    """The elementwise reference for is_groupoid_hom_relation: source identities
+    reach only target identities, and R(x*y) == R(x)*R(y) for every source pair,
+    where U*V collects the defined products and an undefined x*y has the empty
+    image."""
+    src, tgt = s.source, s.target
+    img = _images(s.rel)
+    target_ids = frozenset(tgt.identities())
+    if any(not img[e] <= target_ids for e in src.identities()):
+        return False
+    for x in range(src.size):
+        for y in range(src.size):
+            p = src.mult(x, y)
+            lhs = img[p] if p is not None else frozenset()
+            rhs = {w for u in img[x] for v in img[y] if (w := tgt.mult(u, v)) is not None}
+            if lhs != rhs:
+                return False
+    return True
+
+
+def reference_self_conjugate(s):
+    """The elementwise reference for is_self_conjugate: for every target element
+    t, inverting the preimage of t's inverse gives the preimage of t."""
+    src, tgt = s.source, s.target
+    pre = _images(s.rel.converse())
+    return all(frozenset(_inverse(src, u) for u in pre[_inverse(tgt, t)]) == pre[t]
+               for t in range(tgt.size))
+
+
 def census_size(src, tgt):
     """(copies_B * |Hom(H, G)|) ** copies_A with |Hom(H, G)| = prod gcd(h_i, g_j)."""
     homs = prod(gcd(h, g) for h in tgt.base.cyclic_orders for g in src.base.cyclic_orders)
@@ -73,6 +114,19 @@ REFERENCE_PAIRS = [
 def load_golden(name):
     lines = (GOLDEN / name).read_text().splitlines()
     return [FinRel.from_json_dict(json.loads(line)) for line in lines]
+
+
+SMALL_PAIRS = [(a, b) for a, b in REFERENCE_PAIRS
+               if parse_groupoid_spec(a).size * parse_groupoid_spec(b).size <= 9]
+
+
+@pytest.mark.parametrize("a,b", SMALL_PAIRS, ids=[f"{a}->{b}" for a, b in SMALL_PAIRS])
+def test_equations_equal_elementwise_reference(a, b):
+    src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
+    for rel in all_subsets(src, tgt):
+        s = StructuredRel(rel, src, tgt)
+        assert is_groupoid_hom_relation(s) == reference_groupoid_hom(s), rel
+        assert is_self_conjugate(s) == reference_self_conjugate(s), rel
 
 
 class TestGroupoidHom:
