@@ -26,6 +26,7 @@ from .relations import (
     Scalar,
     StateVec,
     born_scalar,
+    converse,
     identity,
     is_unitary,
     symmetric_difference,
@@ -321,20 +322,6 @@ def grover_zero_condition(inst: GroverInstance, rho: StateVec) -> bool:
     return bool(lhs.pairs) == bool(rhs.pairs)
 
 
-def grover_opposite_mapping(inst: GroverInstance, rho: StateVec) -> bool:
-    """The all-quantified opposite-mapping predicate: every rho element maps
-    to sigma exactly where the prepared-state elements do not.  Vacuous or
-    ill-fitting for sufficiently partial indicators."""
-    h0 = inst.pair_s.x_classical_states()[0].members
-    pairs = inst.f.rel.pairs
-    for x in inst.sigma.members:
-        for h in h0:
-            for s in rho.members:
-                if ((h, x) in pairs) == ((s, x) in pairs):
-                    return False
-    return True
-
-
 def grover_run(inst: GroverInstance) -> RunReport:
     """Evaluate every candidate outcome of the single search step.
 
@@ -388,6 +375,6 @@ def grouphomid_run(inst: HomIDInstance) -> RunReport:
     through the blackbox converse against rho); both can be strictly finer
     than the decision rule.
     """
-    pulled_back = StateVec.from_ket(then(inst.sigma.as_ket(), inst.f.rel.converse()))
+    pulled_back = StateVec.from_ket(then(inst.sigma.as_ket(), converse(inst.f.rel)))
     return _candidate_run("homid", inst, inst.pair_g, inst.pair_a,
                           "witness", grouphomid_necessary, True, verification=pulled_back)

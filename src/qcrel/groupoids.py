@@ -114,9 +114,6 @@ class Groupoid:
     def identities(self) -> list[int]:
         return [i * self.base.order for i in range(self.copies)]
 
-    def is_identity(self, e: int) -> bool:
-        return e % self.base.order == 0
-
     def mult_rel(self) -> FinRel:
         """Multiplication as a relation A*A -> A under the flat product coding."""
         n, size = self.base.order, self.size
@@ -298,9 +295,10 @@ class ComplementaryPair:
         return None if w is None else self.x_recode_inverse[w]
 
     def is_complementary_pair(self) -> bool:
-        """Whether the two bases really are complementary (always true for the
-        canonical coding; an explicit recoding may break it)."""
-        return self.canonical or is_unitary(cnot(self))
+        """Whether the two bases really are complementary under ``x_recode``
+        (always true for the canonical coding; an explicit recoding may break
+        it), as decided by ``is_complementary``."""
+        return self.canonical or is_complementary(self.z, self.x, self.x_recode)
 
     def spec(self) -> str:
         return f"pair({self.g.spec()},{self.h.spec()})"

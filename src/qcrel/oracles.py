@@ -9,16 +9,9 @@ self-conjugate) f the result is always a bijection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .groupoids import (
-    ComplementaryPair,
-    Groupoid,
-    _controlled_not,
-    parse_groupoid_spec,
-    parse_pair_spec,
-)
+from .groupoids import ComplementaryPair, Groupoid, _controlled_not
 from .hom_relations import StructuredRel, classical_equations
 from .relations import FinRel
 
@@ -37,33 +30,6 @@ class OracleSpec:
             raise ValueError("oracle relation must start at the control Z-basis")
         if self.f.target != self.pair_b.z:
             raise ValueError("oracle relation must land in the target system's Z-basis")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "za": self.za.spec(),
-            "pair_b": self.pair_b.spec(),
-            "f": self.f.rel.to_json_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "OracleSpec":
-        if not isinstance(payload, dict) or set(payload) != {"za", "pair_b", "f"}:
-            raise ValueError("schema violation: expected keys za, pair_b, f")
-        za = parse_groupoid_spec(payload["za"])
-        pair_b = parse_pair_spec(payload["pair_b"])
-        f = StructuredRel(FinRel.from_json_dict(payload["f"]), za, pair_b.z)
-        return cls(za, pair_b, f)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OracleSpec":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"schema violation: not valid JSON ({exc})") from exc
-        return cls.from_json_dict(payload)
 
 
 def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:

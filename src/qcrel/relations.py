@@ -65,9 +65,6 @@ class FinRel:
         tgt = set(targets)
         return frozenset(a for (a, b) in self.pairs if b in tgt)
 
-    def converse(self) -> "FinRel":
-        return converse(self)
-
     def to_json_dict(self) -> dict:
         return {"dom": self.dom_size, "cod": self.cod_size,
                 "pairs": [list(p) for p in self.sorted_pairs()]}
@@ -80,11 +77,12 @@ class FinRel:
         if not isinstance(payload, dict) or set(payload) != {"dom", "cod", "pairs"}:
             raise ValueError("schema violation: expected keys dom, cod, pairs")
         dom, cod, pairs = payload["dom"], payload["cod"], payload["pairs"]
-        if not isinstance(dom, int) or not isinstance(cod, int) or not isinstance(pairs, list):
+        # ``type(...) is int``: JSON true/false load as bool, an int subclass.
+        if type(dom) is not int or type(cod) is not int or not isinstance(pairs, list):
             raise ValueError("schema violation: dom/cod must be integers and pairs a list")
         seen = set()
         for p in pairs:
-            if (not isinstance(p, list)) or len(p) != 2 or not all(isinstance(x, int) for x in p):
+            if (not isinstance(p, list)) or len(p) != 2 or not all(type(x) is int for x in p):
                 raise ValueError(f"schema violation: malformed pair {p!r}")
             key = (p[0], p[1])
             if key in seen:
@@ -100,6 +98,8 @@ class FinRel:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"schema violation: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ValueError("schema violation: JSON nested too deeply") from exc
         return cls.from_json_dict(payload)
 
     def __repr__(self) -> str:
@@ -161,10 +161,6 @@ class Scalar:
 
     def __bool__(self) -> bool:
         return self.possible
-
-
-POSSIBLE = Scalar(True)
-IMPOSSIBLE = Scalar(False)
 
 
 def then(first: FinRel, second: FinRel) -> FinRel:
@@ -239,13 +235,6 @@ def is_unitary(r: FinRel) -> bool:
     sources = {a for (a, _) in r.pairs}
     targets = {b for (_, b) in r.pairs}
     return len(sources) == r.dom_size and len(targets) == r.cod_size
-
-
-def is_unitary_by_composition(r: FinRel) -> bool:
-    """Independent check: r composed with its converse is the identity both ways."""
-    conv = converse(r)
-    return (then(r, conv) == identity(r.dom_size)
-            and then(conv, r) == identity(r.cod_size))
 
 
 def born_scalar(effect: StateVec, state: StateVec) -> Scalar:

@@ -13,7 +13,6 @@ from qcrel.algorithms import (
     grouphomid_necessary,
     grouphomid_run,
     grover_diffusion,
-    grover_opposite_mapping,
     grover_run,
     grover_zero_condition,
 )
@@ -26,6 +25,20 @@ P22 = parse_pair_spec("pair(Z2,Z2)")
 P31 = parse_pair_spec("pair(Z3,Z1)")
 Z22 = parse_groupoid_spec("Z2^2")
 Z3 = parse_groupoid_spec("Z3")
+
+def grover_opposite_mapping(inst, rho):
+    """The all-quantified opposite-mapping predicate: every rho element maps
+    to sigma exactly where the prepared-state elements do not.  Vacuous or
+    ill-fitting for sufficiently partial indicators."""
+    h0 = inst.pair_s.x_classical_states()[0].members
+    pairs = inst.f.rel.pairs
+    for x in inst.sigma.members:
+        for h in h0:
+            for s in rho.members:
+                if ((h, x) in pairs) == ((s, x) in pairs):
+                    return False
+    return True
+
 
 CONSTANT_F = FinRel(4, 4, [(0, 0), (0, 1), (2, 0), (2, 1)])
 BALANCED_FS = [

@@ -115,6 +115,22 @@ class TestCheckRelation:
         assert payload["predicates"]["classical"] is True
         assert payload["predicates"]["self_conjugate"] is True
 
+    def test_boolean_entries_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text('{"dom": true, "cod": 2, "pairs": [[false, true]]}')
+        assert main(["check-relation", "--from", "Z1", "--to", "Z2", "--rel", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: schema violation")
+
+    def test_deeply_nested_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["check-relation", "--from", "Z1", "--to", "Z2", "--rel", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestAlgorithmCommands:
     def test_dj_human(self, tmp_path, capsys):

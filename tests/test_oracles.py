@@ -1,6 +1,14 @@
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from qcrel.groupoids import cnot, parse_groupoid_spec, parse_pair_spec
+from qcrel.groupoids import (
+    AbelianGroup,
+    ComplementaryPair,
+    Groupoid,
+    cnot,
+    parse_groupoid_spec,
+    parse_pair_spec,
+)
 from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
 from qcrel.oracles import OracleSpec, build_oracle
 from qcrel.relations import FinRel, empty, full, identity, is_unitary, tensor, then
@@ -96,15 +104,20 @@ class TestOracleSpecValidation:
             OracleSpec(Z22, P22, StructuredRel(FinRel(4, 3, []), Z22, parse_groupoid_spec("Z3")))
 
 
-class TestOracleSpecJson:
-    def test_roundtrip(self):
-        f = FinRel(4, 4, [(0, 0), (0, 1), (2, 0), (2, 1)])
-        spec = spec_for(P22, Z22, f)
-        again = OracleSpec.from_json(spec.to_json())
-        assert again.za == spec.za
-        assert again.pair_b.spec() == spec.pair_b.spec()
-        assert again.f.rel == spec.f.rel
+GROUPS = st.builds(AbelianGroup, st.lists(st.integers(1, 3), min_size=1, max_size=2))
 
-    def test_schema_violation(self):
-        with pytest.raises(ValueError, match="schema violation"):
-            OracleSpec.from_json('{"za": "Z2"}')
+
+@given(st.builds(Groupoid, GROUPS, st.integers(1, 2)), GROUPS, GROUPS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_oracle_equals_staged_reference(za, g, h, data):
+    pair = ComplementaryPair(g, h)
+    # Larger censuses would cost seconds per example just to list.
+    try:
+        census = enumerate_classical_relations(za, pair.z, max_relations=1 << 12)
+    except ValueError as exc:
+        assert "beyond the budget" in str(exc)
+        reject()
+    spec = spec_for(pair, za, data.draw(st.sampled_from(census)))
+    oracle = build_oracle(spec)
+    assert oracle == oracle_by_pieces(spec)
+    assert is_unitary(oracle)

@@ -13,12 +13,19 @@ from qcrel.relations import (
     full,
     identity,
     is_unitary,
-    is_unitary_by_composition,
     swap,
     symmetric_difference,
     tensor,
     then,
 )
+
+
+def is_unitary_by_composition(r):
+    """The reference for is_unitary: r composed with its converse is the
+    identity both ways."""
+    conv = converse(r)
+    return (then(r, conv) == identity(r.dom_size)
+            and then(conv, r) == identity(r.cod_size))
 
 
 def rel(dom, cod, pairs):
@@ -225,6 +232,20 @@ class TestValuesAndJson:
     @given(relations())
     def test_json_roundtrip(self, r):
         assert FinRel.from_json(r.to_json()) == r
+
+    @pytest.mark.parametrize("payload", [
+        {"dom": True, "cod": 2, "pairs": []},
+        {"dom": 1, "cod": True, "pairs": []},
+        {"dom": 1, "cod": 2, "pairs": [[False, 1]]},
+        {"dom": 1, "cod": 2, "pairs": [[0, True]]},
+    ])
+    def test_json_booleans_are_not_integers(self, payload):
+        with pytest.raises(ValueError, match="schema violation"):
+            FinRel.from_json_dict(payload)
+
+    def test_deeply_nested_json_is_schema_violation(self):
+        with pytest.raises(ValueError, match="schema violation"):
+            FinRel.from_json("[" * 200000 + "]" * 200000)
 
     def test_json_pairs_sorted(self):
         r = rel(3, 3, [(2, 1), (0, 0), (1, 2)])
