@@ -30,7 +30,7 @@ for law, holds in report.as_dict().items():
 
 # Damage the multiplication table and the laws notice.
 z2 = parse_groupoid_spec("Z2")
-mult = z2.mult_rel()
+mult = z2.mult_rel
 broken = FinRel(mult.dom_size, mult.cod_size, mult.pairs - {(3, 0)})
 damaged = check_structure_laws(broken, z2.unit_state())
 print("after dropping 1*1=0:",

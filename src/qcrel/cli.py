@@ -224,6 +224,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"error: verification property violated: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,13 +9,18 @@ A complementary pair on one underlying set carries two such groupoids:
 Z with copies of G (copy-major blocks) and X with copies of H (stride
 classes), glued by the canonical recoding that sends the Z-label
 (copy i, group element g) to the X-label (copy flat(g), element i).
+
+Arithmetic is by table: a group builds its Cayley and negation tables on
+first use, and a groupoid caches its structure relations.  The controlled-not
+visits, for each control c, only the targets y in c's X-copy.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .relations import (
@@ -51,9 +56,9 @@ class AbelianGroup:
             raise ValueError(f"cyclic factor orders must be >= 1, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
 
-    @property
+    @cached_property
     def order(self) -> int:
-        return reduce(lambda a, b: a * b, self.cyclic_orders, 1)
+        return prod(self.cyclic_orders)
 
     def coords(self, flat: int) -> tuple[int, ...]:
         out = []
@@ -68,12 +73,22 @@ class AbelianGroup:
             value = value * n + (x % n)
         return value
 
+    @cached_property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table, ``add_table[a][b] == a + b``; built on first use."""
+        coords = [self.coords(a) for a in range(self.order)]
+        return tuple(tuple(self.flat([x + y for x, y in zip(ca, cb)]) for cb in coords)
+                     for ca in coords)
+
+    @cached_property
+    def neg_table(self) -> tuple[int, ...]:
+        return tuple(self.flat([-x for x in self.coords(a)]) for a in range(self.order))
+
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.coords(a), self.coords(b)
-        return self.flat(tuple((x + y) % n for x, y, n in zip(ca, cb, self.cyclic_orders)))
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        return self.flat(tuple((-x) % n for x, n in zip(self.coords(a), self.cyclic_orders)))
+        return self.neg_table[a]
 
     def spec(self) -> str:
         return "x".join(f"Z{n}" for n in self.cyclic_orders)
@@ -106,39 +121,35 @@ class Groupoid:
     def mult(self, a: int, b: int) -> Optional[int]:
         """The partial product, or None when a and b live in different copies."""
         n = self.base.order
-        ca, cb = a // n, b // n
-        if ca != cb:
-            return None
-        return ca * n + self.base.add(a % n, b % n)
+        (ca, x), (cb, y) = divmod(a, n), divmod(b, n)
+        return ca * n + self.base.add_table[x][y] if ca == cb else None
 
     def identities(self) -> list[int]:
         return [i * self.base.order for i in range(self.copies)]
 
+    @cached_property
     def mult_rel(self) -> FinRel:
         """Multiplication as a relation A*A -> A under the flat product coding."""
-        n, size = self.base.order, self.size
-        pairs = []
-        for i in range(self.copies):
-            block = i * n
-            for x in range(n):
-                for y in range(n):
-                    a, b = block + x, block + y
-                    pairs.append((a * size + b, block + self.base.add(x, y)))
-        return FinRel(size * size, size, pairs)
+        n, size, table = self.base.order, self.size, self.base.add_table
+        return FinRel._trusted(size * size, size, (
+            ((block + x) * size + block + y, block + table[x][y])
+            for block in range(0, size, n) for x in range(n) for y in range(n)))
 
+    @cached_property
     def inv_rel(self) -> FinRel:
         """Inversion as a bijection A -> A, each element to its inverse in its own copy."""
-        n = self.base.order
-        return FinRel(self.size, self.size,
-                      ((i * n + x, i * n + self.base.neg(x))
-                       for i in range(self.copies) for x in range(n)))
+        n, neg = self.base.order, self.base.neg_table
+        return FinRel._trusted(self.size, self.size, (
+            (block + x, block + neg[x]) for block in range(0, self.size, n) for x in range(n)))
 
     def unit_state(self) -> StateVec:
         return StateVec(self.size, self.identities())
 
+    @cached_property
     def comult_rel(self) -> FinRel:
-        return converse(self.mult_rel())
+        return converse(self.mult_rel)
 
+    @cached_property
     def counit_rel(self) -> FinRel:
         return converse(self.unit_state().as_ket())
 
@@ -210,7 +221,7 @@ def check_structure_laws(mult: FinRel, unit: StateVec) -> LawReport:
 
 def verify_classical_structure(z: Groupoid) -> LawReport:
     """Check that the groupoid's multiplication and unit form a classical structure."""
-    return check_structure_laws(z.mult_rel(), z.unit_state())
+    return check_structure_laws(z.mult_rel, z.unit_state())
 
 
 def _canonical_recode(g_order: int, h_order: int) -> tuple[int, ...]:
@@ -308,28 +319,29 @@ def make_complementary_pair(g: AbelianGroup, h: AbelianGroup) -> ComplementaryPa
     return ComplementaryPair(g, h)
 
 
-def _controlled_not(z: Groupoid, f_pairs: Iterable[tuple[int, int]], x_mult,
-                    size_out: int) -> FinRel:
-    """The controlled relation {((x,y),(a, c*y)) : a.b = x in ``z``, (b,c) in f,
-    c*y defined by ``x_mult``} on z.size*size_out.  The controlled-not is the
-    case f = identity; a blackbox oracle passes its classical relation."""
-    pairs = set()
-    n = z.base.order
+def _controlled_not(z: Groupoid, f_pairs: Iterable[tuple[int, int]], x: Groupoid,
+                    recode: Sequence[int], inverse: Sequence[int]) -> FinRel:
+    """The controlled relation {((a.b, y), (a, c*y)) : (b,c) in f, a.b defined
+    in ``z``, c*y defined in ``x`` under ``recode``} on z.size*x.size.  The
+    controlled-not is the case f = identity; a blackbox oracle passes its
+    classical relation.  Only the y in the X-copy of c are visited: for every
+    other y the product c*y is undefined."""
+    n, m, size = z.base.order, x.base.order, x.size
+    z_add, x_add = z.base.add_table, x.base.add_table
+    pairs = []
     for (b, c) in f_pairs:
-        block = (b // n) * n
-        for a in range(block, block + n):
-            x = z.mult(a, b)
-            for y in range(size_out):
-                w = x_mult(c, y)
-                if w is not None:
-                    pairs.add((x * size_out + y, a * size_out + w))
-    size = z.size * size_out
-    return FinRel(size, size, pairs)
+        block, zrow = b - b % n, z_add[b % n]
+        xblock, xrow = recode[c] - recode[c] % m, x_add[recode[c] % m]
+        column = [(inverse[xblock + j], inverse[xblock + xrow[j]]) for j in range(m)]
+        pairs.extend(((block + zrow[i]) * size + y, (block + i) * size + w)
+                     for i in range(n) for (y, w) in column)
+    return FinRel._trusted(z.size * size, z.size * size, pairs)
 
 
 def cnot(pair: ComplementaryPair) -> FinRel:
     """The controlled-not of the pair: copy in Z, then multiply in X."""
-    return _controlled_not(pair.z, ((b, b) for b in range(pair.size)), pair.x_mult, pair.size)
+    return _controlled_not(pair.z, ((b, b) for b in range(pair.size)), pair.x,
+                           pair.x_recode, pair.x_recode_inverse)
 
 
 def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
@@ -341,13 +353,8 @@ def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
     recode = tuple(int(v) for v in recode)
     if sorted(recode) != list(range(z.size)):
         raise ValueError("recode must be a permutation of the underlying set")
-    inverse = _inverse(recode)
-
-    def x_mult(u: int, v: int) -> Optional[int]:
-        w = x.mult(recode[u], recode[v])
-        return None if w is None else inverse[w]
-
-    return is_unitary(_controlled_not(z, ((b, b) for b in range(z.size)), x_mult, z.size))
+    identity_pairs = ((b, b) for b in range(z.size))
+    return is_unitary(_controlled_not(z, identity_pairs, x, recode, _inverse(recode)))
 
 
 def fourier_rel(pair: ComplementaryPair) -> FinRel:

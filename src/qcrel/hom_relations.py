@@ -51,7 +51,7 @@ class StructuredRel:
 def _preserves_mult(s: StructuredRel) -> bool:
     """The multiplicative equation mult ; R == (R x R) ; mult, built as relations."""
     r = s.rel
-    return then(s.source.mult_rel(), r) == then(tensor(r, r), s.target.mult_rel())
+    return then(s.source.mult_rel, r) == then(tensor(r, r), s.target.mult_rel)
 
 
 def is_groupoid_hom_relation(s: StructuredRel) -> bool:
@@ -87,9 +87,8 @@ class ClassicalEquations(NamedTuple):
 def classical_equations(s: StructuredRel) -> ClassicalEquations:
     """The two comonoid-homomorphism equations, each as an exact relation equality."""
     r = s.rel
-    comult_ok = (then(r, s.target.comult_rel())
-                 == then(s.source.comult_rel(), tensor(r, r)))
-    counit_ok = then(r, s.target.counit_rel()) == s.source.counit_rel()
+    comult_ok = then(r, s.target.comult_rel) == then(s.source.comult_rel, tensor(r, r))
+    counit_ok = then(r, s.target.counit_rel) == s.source.counit_rel
     return ClassicalEquations(comult_ok, counit_ok)
 
 
@@ -101,7 +100,7 @@ def is_classical_relation(s: StructuredRel) -> bool:
 def is_self_conjugate(s: StructuredRel) -> bool:
     """Inverting in the source before R equals inverting in the target after
     it: inv ; R == R ; inv, with inverses taken inside each element's own copy."""
-    return then(s.source.inv_rel(), s.rel) == then(s.rel, s.target.inv_rel())
+    return then(s.source.inv_rel, s.rel) == then(s.rel, s.target.inv_rel)
 
 
 def _homomorphisms(h: AbelianGroup, g: AbelianGroup) -> list[tuple[int, ...]]:
@@ -159,7 +158,7 @@ def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
         for phi in _homomorphisms(h, g)
     )
     return [
-        FinRel(source.size, target.size,
-               [(i * ng + a, b) for i, block in enumerate(choice) for (a, b) in block])
+        FinRel._trusted(source.size, target.size,
+                        [(i * ng + a, b) for i, block in enumerate(choice) for (a, b) in block])
         for choice in product(blocks, repeat=source.copies)
     ]

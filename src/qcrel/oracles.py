@@ -41,15 +41,12 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
     """
     if not unchecked:
         eqs = classical_equations(spec.f)
-        if not eqs.comult_ok or not eqs.counit_ok:
-            failing = []
-            if not eqs.comult_ok:
-                failing.append("comultiplication")
-            if not eqs.counit_ok:
-                failing.append("counit")
+        failing = [name for name, ok in zip(("comultiplication", "counit"), eqs) if not ok]
+        if failing:
             raise ValueError(
                 "oracle input is not a classical relation: "
                 + " and ".join(failing) + " equation fails "
                 "(pass unchecked=True to build it anyway)"
             )
-    return _controlled_not(spec.za, spec.f.rel.pairs, spec.pair_b.x_mult, spec.pair_b.size)
+    pb = spec.pair_b
+    return _controlled_not(spec.za, spec.f.rel.pairs, pb.x, pb.x_recode, pb.x_recode_inverse)

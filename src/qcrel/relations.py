@@ -54,6 +54,15 @@ class FinRel:
         object.__setattr__(self, "cod_size", int(cod_size))
         object.__setattr__(self, "pairs", frozenset(normalized))
 
+    @classmethod
+    def _trusted(cls, dom_size: int, cod_size: int, pairs: Iterable[Pair]) -> "FinRel":
+        """Build from int pairs already known to be in range, skipping the checks."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "dom_size", dom_size)
+        object.__setattr__(rel, "cod_size", cod_size)
+        object.__setattr__(rel, "pairs", frozenset(pairs))
+        return rel
+
     def sorted_pairs(self) -> list[Pair]:
         return sorted(self.pairs)
 
@@ -173,15 +182,12 @@ def then(first: FinRel, second: FinRel) -> FinRel:
     successors: dict[int, list[int]] = {}
     for (b, c) in second.pairs:
         successors.setdefault(b, []).append(c)
-    out = set()
-    for (a, b) in first.pairs:
-        for c in successors.get(b, ()):
-            out.add((a, c))
-    return FinRel(first.dom_size, second.cod_size, out)
+    return FinRel._trusted(first.dom_size, second.cod_size,
+                           ((a, c) for (a, b) in first.pairs for c in successors.get(b, ())))
 
 
 def converse(r: FinRel) -> FinRel:
-    return FinRel(r.cod_size, r.dom_size, ((b, a) for (a, b) in r.pairs))
+    return FinRel._trusted(r.cod_size, r.dom_size, ((b, a) for (a, b) in r.pairs))
 
 
 def tensor(r: FinRel, s: FinRel) -> FinRel:
@@ -191,13 +197,9 @@ def tensor(r: FinRel, s: FinRel) -> FinRel:
     ``(x, u) -> x * c + u``; every module in this package uses this single
     coding for product sets.
     """
-    dom = r.dom_size * s.dom_size
-    cod = r.cod_size * s.cod_size
-    pairs = set()
-    for (x, y) in r.pairs:
-        for (u, v) in s.pairs:
-            pairs.add((x * s.dom_size + u, y * s.cod_size + v))
-    return FinRel(dom, cod, pairs)
+    m, n = s.dom_size, s.cod_size
+    return FinRel._trusted(r.dom_size * m, r.cod_size * n,
+                           ((x * m + u, y * n + v) for (x, y) in r.pairs for (u, v) in s.pairs))
 
 
 def symmetric_difference(r: FinRel, s: FinRel) -> FinRel:

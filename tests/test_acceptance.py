@@ -81,7 +81,7 @@ def test_criterion_02_classical_structure_laws():
             report = verify_classical_structure(z)
             assert report.all_ok, (copies, order, report.as_dict())
     z2 = parse_groupoid_spec("Z2")
-    mult = z2.mult_rel()
+    mult = z2.mult_rel
     broken_any = []
     for drop in mult.sorted_pairs():
         mutated = FinRel(mult.dom_size, mult.cod_size, mult.pairs - {tuple(drop)})

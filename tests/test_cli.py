@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from qcrel import algorithms
 from qcrel.algorithms import DJInstance, dj_run
 from qcrel.cli import emit_report, main, parse_relation_file
 from qcrel.groupoids import ComplementaryPair, parse_groupoid_spec, parse_pair_spec
 from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
-from qcrel.relations import FinRel
+from qcrel.relations import FinRel, identity
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,6 +131,30 @@ class TestCheckRelation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestVerificationPropertyViolated:
+    """A failed internal cross-check exits 2 with one message line, not a traceback."""
+
+    def run_dj(self, tmp_path):
+        path = write_rel(tmp_path, FinRel(4, 4, [(0, 0), (0, 1), (2, 0), (2, 1)]))
+        return main(["dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)", "--oracle", path])
+
+    def test_staged_dj_pipeline_disagrees(self, tmp_path, capsys, monkeypatch):
+        # An identity "basis change" sends the staged pipeline elsewhere.
+        monkeypatch.setattr(algorithms, "fourier_rel", lambda pair: identity(pair.size))
+        assert self.run_dj(tmp_path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: verification property violated: "
+                                "basis-change pipeline disagrees with the absorbed composite\n")
+
+    def test_canonical_pair_check_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ComplementaryPair, "x_unbiased_states", lambda self: [])
+        assert self.run_dj(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: verification property violated: canonical pair")
+        assert "Traceback" not in err
 
 
 class TestAlgorithmCommands:

@@ -18,6 +18,11 @@ from qcrel.groupoids import (
     parse_pair_spec,
     verify_classical_structure,
 )
+from qcrel.hom_relations import (
+    StructuredRel,
+    enumerate_classical_relations,
+    is_surjective_on_objects,
+)
 from qcrel.relations import FinRel, StateVec, identity, is_unitary, tensor, then
 
 
@@ -42,6 +47,17 @@ class TestAbelianGroup:
         a = data.draw(st.integers(0, g.order - 1))
         assert g.add(a, g.neg(a)) == 0
 
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    @settings(max_examples=40)
+    def test_tables_match_coordinate_arithmetic(self, orders):
+        g = AbelianGroup(orders)
+        for a in range(g.order):
+            ca = g.coords(a)
+            assert g.neg_table[a] == g.flat([(-x) % n for x, n in zip(ca, orders)])
+            for b in range(g.order):
+                cb = g.coords(b)
+                assert g.add_table[a][b] == g.flat([(x + y) % n for x, y, n in zip(ca, cb, orders)])
+
     def test_rejects_empty_and_zero(self):
         with pytest.raises(ValueError):
             AbelianGroup([])
@@ -52,7 +68,7 @@ class TestAbelianGroup:
 class TestGroupoid:
     def test_xor_multiplication_graph(self):
         z2 = parse_groupoid_spec("Z2")
-        assert z2.mult_rel() == FinRel(4, 2, [(0, 0), (1, 1), (2, 1), (3, 0)])
+        assert z2.mult_rel == FinRel(4, 2, [(0, 0), (1, 1), (2, 1), (3, 0)])
 
     def test_partiality_across_copies(self):
         z = parse_groupoid_spec("Z2^2")
@@ -95,7 +111,7 @@ class TestStructureLaws:
 
     def test_mutated_multiplication_fails(self):
         z2 = parse_groupoid_spec("Z2")
-        m = z2.mult_rel()
+        m = z2.mult_rel
         for drop in m.sorted_pairs():
             mutated = FinRel(m.dom_size, m.cod_size, m.pairs - {tuple(drop)})
             report = check_structure_laws(mutated, z2.unit_state())
@@ -178,7 +194,7 @@ class TestCnot:
             xmult = FinRel(n * n, n,
                            ((c * n + y, w) for c in range(n) for y in range(n)
                             for w in [pair.x_mult(c, y)] if w is not None))
-            staged = then(tensor(pair.z.comult_rel(), identity(n)),
+            staged = then(tensor(pair.z.comult_rel, identity(n)),
                           tensor(identity(n), xmult))
             assert staged == cnot(pair)
 
@@ -249,6 +265,27 @@ class TestFourier:
         # The canonical recoding, given explicitly, still has its bijection.
         (canonical,) = [p for p in pairs if p.canonical]
         assert fourier_rel(canonical) == fourier_rel(parse_pair_spec("pair(Z2,Z2)"))
+
+
+class TestLazyTables:
+    """Parsing, the census and surjectivity never build a Cayley table, so a
+    large group in a spec costs O(|G|), not O(|G|^2)."""
+
+    def test_no_table_for_large_specs(self):
+        pair = parse_pair_spec("pair(Z100000,Z1)")
+        big = parse_groupoid_spec("Z100000")
+        one = parse_groupoid_spec("Z1")
+        (rel,) = enumerate_classical_relations(one, big)
+        enumerate_classical_relations(big, one)
+        assert is_surjective_on_objects(StructuredRel(rel, one, big))
+        for group in (pair.g, pair.h, big.base, one.base):
+            assert "add_table" not in vars(group) and "neg_table" not in vars(group)
+
+    def test_tables_are_cached_per_instance(self):
+        g = AbelianGroup([3])
+        assert "add_table" not in vars(g)
+        assert g.add(1, 2) == 0
+        assert "add_table" in vars(g) and "add_table" not in vars(AbelianGroup([3]))
 
 
 class TestSpecParsing:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
@@ -6,6 +8,7 @@ from qcrel.groupoids import (
     ComplementaryPair,
     Groupoid,
     cnot,
+    is_complementary,
     parse_groupoid_spec,
     parse_pair_spec,
 )
@@ -19,6 +22,9 @@ P22 = parse_pair_spec("pair(Z2,Z2)")
 Z22 = parse_groupoid_spec("Z2^2")
 
 
+GROUPS = st.builds(AbelianGroup, st.lists(st.integers(1, 3), min_size=1, max_size=2))
+
+
 def spec_for(pair, za, rel):
     return OracleSpec(za, pair, StructuredRel(rel, za, pair.z))
 
@@ -29,9 +35,71 @@ def oracle_by_pieces(spec):
     xmult = FinRel(nb * nb, nb,
                    ((c * nb + y, w) for c in range(nb) for y in range(nb)
                     for w in [pb.x_mult(c, y)] if w is not None))
-    staged = tensor(za.comult_rel(), identity(nb))
+    staged = tensor(za.comult_rel, identity(nb))
     staged = then(staged, tensor(identity(na), tensor(spec.f.rel, identity(nb))))
     return then(staged, tensor(identity(na), xmult))
+
+
+def reference_controlled_not(z, f_pairs, x_mult, size_out):
+    """The reference for the controlled loop: every y of the target is tried
+    and the undefined products c*y are skipped."""
+    pairs = set()
+    n = z.base.order
+    for (b, c) in f_pairs:
+        block = (b // n) * n
+        for a in range(block, block + n):
+            x = z.mult(a, b)
+            for y in range(size_out):
+                w = x_mult(c, y)
+                if w is not None:
+                    pairs.add((x * size_out + y, a * size_out + w))
+    size = z.size * size_out
+    return FinRel(size, size, pairs)
+
+
+def assert_fast_paths_match_reference(pair, blackboxes):
+    """cnot, is_complementary and build_oracle(unchecked=True) against the all-y loop."""
+    n = pair.size
+    expected = reference_controlled_not(pair.z, ((b, b) for b in range(n)), pair.x_mult, n)
+    assert cnot(pair) == expected
+    assert is_complementary(pair.z, pair.x, pair.x_recode) == is_unitary(expected)
+    for f in blackboxes:
+        oracle = build_oracle(spec_for(pair, pair.z, f), unchecked=True)
+        assert oracle == reference_controlled_not(pair.z, f.pairs, pair.x_mult, n)
+
+
+class TestFastPathsMatchReference:
+    @pytest.mark.parametrize("pairspec,complementary", [
+        ("pair(Z2,Z2)", 16), ("pair(Z3,Z2)", 288), ("pair(Z2,Z3)", 288), ("pair(Z1,Z4)", 24),
+    ])
+    def test_every_recoding(self, pairspec, complementary):
+        canonical = parse_pair_spec(pairspec)
+        n = canonical.size
+        census = enumerate_classical_relations(canonical.z, canonical.z)
+        blackboxes = [identity(n), full(n, n), *census[-2:]]
+        verdicts = []
+        for perm in itertools.permutations(range(n)):
+            pair = ComplementaryPair(canonical.g, canonical.h, x_recode=perm)
+            assert_fast_paths_match_reference(pair, blackboxes)
+            verdicts.append(pair.is_complementary_pair())
+        # Complementary recodings out of 24, 720, 720 and 24, as the all-y loop decides.
+        assert sum(verdicts) == complementary
+
+    @given(GROUPS, GROUPS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_recodings(self, g, h, data):
+        n = g.order * h.order
+        pair = ComplementaryPair(g, h, x_recode=data.draw(st.permutations(range(n))))
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        assert_fast_paths_match_reference(pair, [FinRel(n, n, data.draw(st.sets(cells, max_size=8)))])
+
+    def test_trusted_results_revalidate(self):
+        pair, za = parse_pair_spec("pair(Z2,Z3)"), parse_groupoid_spec("Z2xZ2^2")
+        census = enumerate_classical_relations(za, pair.z)
+        built = [cnot(pair), build_oracle(spec_for(pair, za, census[-1])), *census,
+                 za.mult_rel, za.comult_rel, za.counit_rel, za.inv_rel]
+        for r in built:
+            assert r == FinRel(r.dom_size, r.cod_size, r.pairs)
 
 
 class TestBuildOracle:
@@ -102,9 +170,6 @@ class TestOracleSpecValidation:
     def test_wrong_target(self):
         with pytest.raises(ValueError):
             OracleSpec(Z22, P22, StructuredRel(FinRel(4, 3, []), Z22, parse_groupoid_spec("Z3")))
-
-
-GROUPS = st.builds(AbelianGroup, st.lists(st.integers(1, 3), min_size=1, max_size=2))
 
 
 @given(st.builds(Groupoid, GROUPS, st.integers(1, 2)), GROUPS, GROUPS, st.data())

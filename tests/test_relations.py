@@ -108,6 +108,24 @@ class TestTensor:
         assert then(left, tensor(c, d)) == tensor(then(a, c), then(b, d))
 
 
+class TestTrustedConstruction:
+    """Composites are built without range checks; full validation of the same
+    pairs must accept them and give an equal relation."""
+
+    @staticmethod
+    def revalidates(r):
+        assert type(r.pairs) is frozenset
+        assert all(type(a) is int and type(b) is int for (a, b) in r.pairs)
+        assert r == FinRel(r.dom_size, r.cod_size, r.pairs)
+
+    @given(relations(), relations(), st.data())
+    @settings(max_examples=60)
+    def test_then_converse_tensor(self, r, s, data):
+        t = data.draw(relations(dom=r.cod_size))
+        for out in (then(r, t), converse(r), tensor(r, s)):
+            self.revalidates(out)
+
+
 class TestSymmetricDifference:
     def test_diffusion_shape(self):
         block = rel(4, 4, [(a, b) for a in (0, 2) for b in (0, 2)])
