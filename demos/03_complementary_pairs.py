@@ -32,7 +32,8 @@ print("Z4 vs Z2^2 complementary?",
       is_complementary(parse_groupoid_spec("Z4"), parse_groupoid_spec("Z2^2"), range(4)))
 
 # For square pairs there is a basis-change bijection carrying the k-th
-# Z-classical state onto the k-th X-classical state; it is an involution.
+# Z-classical state onto the k-th X-classical state: the inverse recoding.
+# Under the canonical recoding it is an involution.
 ft = fourier_rel(pair)
 for k, state in enumerate(pair.z.classical_states()):
     print(f"basis change of Z-classical {k}:", sorted(ft.image(state.members)))

@@ -151,9 +151,9 @@ def dj_run(inst: DJInstance) -> RunReport:
     The composite is (first X_A-classical effect x id) after the oracle after
     the (first X_A-classical x second X_B-classical) preparation; the decision
     scalar tests the second system's output against the second X_B-classical
-    state.  When both pairs are canonical and square the pre-basis-change
-    pipeline is also built and must produce the identical relation; the
-    basis-change bijection knows only the canonical recoding.
+    state.  When both pairs are square the pre-basis-change pipeline is also
+    built, measuring through the converse basis change, and must produce the
+    identical relation.
     """
     pair_a, pair_b, f = inst.pair_a, inst.pair_b, inst.f
     nb = pair_b.size
@@ -168,23 +168,24 @@ def dj_run(inst: DJInstance) -> RunReport:
     )
     formula_scalar = Scalar(bool(formula_members))
 
+    oracle_unitary = is_unitary(oracle)
     diagnostics = {
         "diffusion_unitary": None,
-        "oracle_unitary": is_unitary(oracle),
+        "oracle_unitary": oracle_unitary,
         "formula_output": sorted(formula_members),
         "composite_output": b_out.sorted_members(),
         "formula_agrees_with_composite": bool(formula_scalar) == bool(composite_scalar),
-        "physical_evolution": is_unitary(oracle),
+        "physical_evolution": oracle_unitary,
     }
     composites = {"pipeline": composite}
 
-    if all(p.canonical and p.g.order == p.h.order for p in (pair_a, pair_b)):
+    if all(p.g.order == p.h.order for p in (pair_a, pair_b)):
         ft_a, ft_b = fourier_rel(pair_a), fourier_rel(pair_b)
         g0a = pair_a.z.classical_states()[0]
         g1b = pair_b.z.classical_states()[1]
         staged = then(tensor(g0a.as_ket(), g1b.as_ket()), tensor(ft_a, ft_b))
         staged = then(staged, oracle)
-        staged = then(staged, tensor(ft_a, identity(nb)))
+        staged = then(staged, tensor(converse(ft_a), identity(nb)))
         staged = then(staged, tensor(g0a.as_bra(), identity(nb)))
         if staged != composite:
             raise AssertionError("basis-change pipeline disagrees with the absorbed composite")

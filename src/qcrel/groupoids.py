@@ -358,29 +358,20 @@ def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
 
 
 def fourier_rel(pair: ComplementaryPair) -> FinRel:
-    """The basis-change bijection for a canonical square pair (|G| = |H| = n):
-    i*n+g -> g*n+i.
-
-    It carries the k-th Z-classical state onto the k-th X-classical state and
-    is an involution.  Pairs with |G| != |H| have no such bijection (the two
-    classical-state families have different sizes), and under a non-canonical
-    ``x_recode`` this bijection misses the X-classical states; for both,
-    prepare and measure X-classical states directly instead (the absorbed form
-    used by the algorithm runners).
+    """The basis-change bijection of a square pair (|G| = |H|): the graph of
+    the inverse recoding, u -> ``x_recode_inverse[u]``, which carries the k-th
+    Z-classical state onto the k-th X-classical state under any recoding.  It
+    is an involution only for the canonical recoding, so measure through its
+    converse.  Pairs with |G| != |H| have no such bijection; prepare and
+    measure X-classical states directly instead (the absorbed form the
+    algorithm runners use).
     """
     if pair.g.order != pair.h.order:
         raise ValueError(
             f"no basis-change bijection for {pair.spec()}: "
             "|G| != |H|; use absorbed preparation/measurement instead"
         )
-    if not pair.canonical:
-        raise ValueError(
-            f"no basis-change bijection for {pair.spec()} under a non-canonical "
-            "x_recode; use absorbed preparation/measurement instead"
-        )
-    n = pair.g.order
-    return FinRel(pair.size, pair.size,
-                  ((i * n + g, g * n + i) for i in range(n) for g in range(n)))
+    return FinRel._trusted(pair.size, pair.size, enumerate(pair.x_recode_inverse))
 
 
 _GROUPOID_SPEC = re.compile(r"^(Z\d+)(xZ\d+)*(\^\d+)?$")

@@ -233,7 +233,7 @@ class TestReportGoldens:
     holding the line's ``oracle`` relation, the exit code and the stdout.
     """
 
-    @pytest.mark.parametrize("verb", ["dj", "grover", "homid"])
+    @pytest.mark.parametrize("verb", ["dj", "dj_recoded", "grover", "homid"])
     def test_stdout_matches_golden_bytes(self, verb, tmp_path, capsys):
         path = tmp_path / "oracle.json"
         lines = (GOLDEN / f"reports_{verb}.jsonl").read_text(encoding="utf-8").splitlines()
@@ -260,7 +260,10 @@ class TestComplementaryRecodes:
                 argv = ["dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)",
                         "--oracle", path, flag, recode, "--json"]
                 assert main(argv) == 0, argv
-                assert json.loads(capsys.readouterr().out)["algorithm"] == "dj"
+                report = json.loads(capsys.readouterr().out)
+                assert report["algorithm"] == "dj"
+                # The staged basis-change pipeline runs under every recoding.
+                assert report["diagnostics"]["absorbed_equals_unabsorbed"] is True, argv
 
 
 class TestEmitReport:

@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.stdout == (GOLDEN / f"{script.stem}.txt").read_text(encoding="utf-8")

@@ -253,18 +253,43 @@ class TestFourier:
         with pytest.raises(ValueError, match="absorbed"):
             fourier_rel(parse_pair_spec("pair(Z2,Z1)"))
 
-    def test_recoded_pair_rejected(self):
+    @pytest.mark.parametrize("spec", ["pair(Z1,Z1)", "pair(Z2,Z2)", "pair(Z3,Z3)",
+                                      "pair(Z4,Z4)", "pair(Z5,Z5)", "pair(Z2xZ2,Z4)"])
+    def test_canonical_matches_closed_form(self, spec):
+        pair = parse_pair_spec(spec)
+        n = pair.g.order
+        assert fourier_rel(pair) == FinRel(
+            pair.size, pair.size, ((i * n + g, g * n + i) for i in range(n) for g in range(n)))
+
+    def test_every_recoding_maps_classical_states_across(self):
         g = AbelianGroup([2])
         pairs = [ComplementaryPair(g, g, x_recode=p) for p in itertools.permutations(range(4))]
-        pairs = [p for p in pairs if p.is_complementary_pair()]
-        recoded = [p for p in pairs if not p.canonical]
-        assert len(recoded) == 15
-        for pair in recoded:
-            with pytest.raises(ValueError, match="non-canonical"):
-                fourier_rel(pair)
-        # The canonical recoding, given explicitly, still has its bijection.
-        (canonical,) = [p for p in pairs if p.canonical]
+        for pair in pairs:
+            assert_maps_classical_states_across(pair)
+        complementary = [p for p in pairs if p.is_complementary_pair()]
+        assert len(complementary) == 16
+        # The canonical recoding, given explicitly, gives the default bijection.
+        (canonical,) = [p for p in complementary if p.canonical]
         assert fourier_rel(canonical) == fourier_rel(parse_pair_spec("pair(Z2,Z2)"))
+
+    @given(st.sampled_from(["pair(Z1,Z1)", "pair(Z2,Z2)", "pair(Z3,Z3)", "pair(Z2xZ2,Z4)",
+                            "pair(Z4,Z2xZ2)"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_recodings_map_classical_states_across(self, spec, data):
+        canonical = parse_pair_spec(spec)
+        perm = data.draw(st.permutations(range(canonical.size)))
+        assert_maps_classical_states_across(
+            ComplementaryPair(canonical.g, canonical.h, x_recode=perm))
+
+
+def assert_maps_classical_states_across(pair):
+    """fourier_rel is a bijection sending Z-classical state k onto X-classical state k."""
+    ft = fourier_rel(pair)
+    assert is_unitary(ft)
+    z_states, x_states = pair.z.classical_states(), pair.x_classical_states()
+    assert len(z_states) == len(x_states)
+    for zk, xk in zip(z_states, x_states):
+        assert ft.image(zk.members) == xk.members
 
 
 class TestLazyTables:

@@ -135,12 +135,29 @@ class TestBuildOracle:
         ("Z3", "pair(Z3,Z1)"),
         ("Z4", "pair(Z4,Z1)"),
         ("Z2^2", "pair(Z2,Z2)"),
+        ("Z2xZ2", "pair(Z2,Z2)"),
+        ("Z3^2", "pair(Z3,Z2)"),
+        ("Z2^3", "pair(Z2,Z3)"),
+        ("Z1^4", "pair(Z1,Z4)"),
+        ("Z2", "pair(Z2xZ2,Z2)"),
     ])
     def test_all_enumerated_blackboxes_unitary(self, srcspec, pairspec):
         za = parse_groupoid_spec(srcspec)
         pair = parse_pair_spec(pairspec)
-        for rel in enumerate_classical_relations(za, pair.z):
+        census = enumerate_classical_relations(za, pair.z)
+        assert census
+        for rel in census:
             assert is_unitary(build_oracle(spec_for(pair, za, rel)))
+
+    def test_all_enumerated_blackboxes_unitary_under_every_recoding(self):
+        census = enumerate_classical_relations(Z22, P22.z)
+        recoded = [ComplementaryPair(P22.g, P22.h, x_recode=perm)
+                   for perm in itertools.permutations(range(4))]
+        recoded = [pair for pair in recoded if pair.is_complementary_pair()]
+        assert len(recoded) == 16
+        for pair in recoded:
+            for rel in census:
+                assert is_unitary(build_oracle(spec_for(pair, Z22, rel)))
 
     @pytest.mark.parametrize("srcspec,pairspec", [
         ("Z3", "pair(Z3,Z1)"),
