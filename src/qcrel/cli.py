@@ -33,6 +33,7 @@ from .algorithms import (
 )
 from .groupoids import (
     ComplementaryPair,
+    Groupoid,
     parse_groupoid_spec,
     parse_pair_spec,
     verify_classical_structure,
@@ -46,13 +47,12 @@ from .hom_relations import (
     is_self_conjugate,
     is_surjective_on_objects,
 )
-from .relations import FinRel
 
 
-def parse_relation_file(path: str | Path) -> FinRel:
-    """Load a relation from the JSON interchange format, with validation."""
-    text = Path(path).read_text(encoding="utf-8")
-    return FinRel.from_json(text)
+def parse_relation_file(path: str | Path, source: Groupoid, target: Groupoid) -> StructuredRel:
+    """Load a relation between two groupoids from the JSON interchange format,
+    with validation; its sizes are checked before any of it is built."""
+    return StructuredRel.from_json(Path(path).read_text(encoding="utf-8"), source, target)
 
 
 def emit_report(report: RunReport, mode: str = "human") -> str:
@@ -174,8 +174,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check_relation(args) -> int:
     source = parse_groupoid_spec(args.source)
     target = parse_groupoid_spec(args.target)
-    rel = parse_relation_file(args.rel)
-    s = StructuredRel(rel, source, target)
+    s = parse_relation_file(args.rel, source, target)
     verdicts = {
         "groupoid_hom": is_groupoid_hom_relation(s),
         "surjective_on_objects": is_surjective_on_objects(s),
@@ -185,7 +184,7 @@ def _cmd_check_relation(args) -> int:
     }
     if args.json:
         print(json.dumps({"from": source.spec(), "to": target.spec(),
-                          "rel": rel.to_json_dict(), "predicates": verdicts}))
+                          "rel": s.rel.to_json_dict(), "predicates": verdicts}))
     else:
         for name, ok in verdicts.items():
             print(f"{name}: {str(ok).lower()}")
@@ -196,7 +195,7 @@ def _cmd_run(args) -> int:
     _, first, _, marked, instance, run = _RUN_VERBS[args.verb]
     pair_in = _parse_pair_argument(getattr(args, f"pair{first}"), getattr(args, f"recode{first}"))
     pair_b = _parse_pair_argument(args.pairB, args.recodeB)
-    f = StructuredRel(parse_relation_file(args.oracle), pair_in.z, pair_b.z)
+    f = parse_relation_file(args.oracle, pair_in.z, pair_b.z)
     sigma = (_sigma_state(pair_b, args.sigma),) if marked else ()
     report = run(instance(pair_in, pair_b, f, *sigma, unchecked=args.unchecked))
     print(emit_report(report, "json" if args.json else "human"))

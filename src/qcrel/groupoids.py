@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .relations import (
     FinRel,
@@ -131,16 +131,16 @@ class Groupoid:
     def mult_rel(self) -> FinRel:
         """Multiplication as a relation A*A -> A under the flat product coding."""
         n, size, table = self.base.order, self.size, self.base.add_table
-        return FinRel._trusted(size * size, size, (
-            ((block + x) * size + block + y, block + table[x][y])
-            for block in range(0, size, n) for x in range(n) for y in range(n)))
+        return FinRel._trusted(size * size, size, tuple(
+            (a - a % n + table[a % n][b % n],) if a // n == b // n else ()
+            for a in range(size) for b in range(size)))
 
     @cached_property
     def inv_rel(self) -> FinRel:
         """Inversion as a bijection A -> A, each element to its inverse in its own copy."""
         n, neg = self.base.order, self.base.neg_table
-        return FinRel._trusted(self.size, self.size, (
-            (block + x, block + neg[x]) for block in range(0, self.size, n) for x in range(n)))
+        return FinRel._trusted(self.size, self.size, tuple(
+            (block + neg[x],) for block in range(0, self.size, n) for x in range(n)))
 
     def unit_state(self) -> StateVec:
         return StateVec(self.size, self.identities())
@@ -153,9 +153,13 @@ class Groupoid:
     def counit_rel(self) -> FinRel:
         return converse(self.unit_state().as_ket())
 
-    def classical_states(self) -> list[StateVec]:
+    def classical_states(self) -> tuple[StateVec, ...]:
+        return self._classical_states
+
+    @cached_property
+    def _classical_states(self) -> tuple[StateVec, ...]:
         n = self.base.order
-        return [StateVec(self.size, range(i * n, (i + 1) * n)) for i in range(self.copies)]
+        return tuple(StateVec(self.size, range(i * n, (i + 1) * n)) for i in range(self.copies))
 
     def unbiased_states(self) -> list[StateVec]:
         n = self.base.order
@@ -288,15 +292,19 @@ class ComplementaryPair:
     def size(self) -> int:
         return self.z.size
 
-    def _from_x(self, states: list[StateVec]) -> list[StateVec]:
+    def _from_x(self, states: Sequence[StateVec]) -> tuple[StateVec, ...]:
         inverse = self.x_recode_inverse
-        return [StateVec(self.size, (inverse[m] for m in s.members)) for s in states]
+        return tuple(StateVec(self.size, (inverse[m] for m in s.members)) for s in states)
 
-    def x_classical_states(self) -> list[StateVec]:
+    def x_classical_states(self) -> tuple[StateVec, ...]:
         """X's classical states, expressed in the underlying coding."""
+        return self._x_classical_states
+
+    @cached_property
+    def _x_classical_states(self) -> tuple[StateVec, ...]:
         return self._from_x(self.x.classical_states())
 
-    def x_unbiased_states(self) -> list[StateVec]:
+    def x_unbiased_states(self) -> tuple[StateVec, ...]:
         """X's unbiased states, expressed in the underlying coding."""
         return self._from_x(self.x.unbiased_states())
 
@@ -319,7 +327,7 @@ def make_complementary_pair(g: AbelianGroup, h: AbelianGroup) -> ComplementaryPa
     return ComplementaryPair(g, h)
 
 
-def _controlled_not(z: Groupoid, f_pairs: Iterable[tuple[int, int]], x: Groupoid,
+def _controlled_not(z: Groupoid, f: FinRel, x: Groupoid,
                     recode: Sequence[int], inverse: Sequence[int]) -> FinRel:
     """The controlled relation {((a.b, y), (a, c*y)) : (b,c) in f, a.b defined
     in ``z``, c*y defined in ``x`` under ``recode``} on z.size*x.size.  The
@@ -328,19 +336,29 @@ def _controlled_not(z: Groupoid, f_pairs: Iterable[tuple[int, int]], x: Groupoid
     other y the product c*y is undefined."""
     n, m, size = z.base.order, x.base.order, x.size
     z_add, x_add = z.base.add_table, x.base.add_table
-    pairs = []
-    for (b, c) in f_pairs:
+    rows: list[tuple[int, ...]] = [()] * (z.size * size)
+    crowded = False
+    for b, f_row in enumerate(f.rows):
         block, zrow = b - b % n, z_add[b % n]
-        xblock, xrow = recode[c] - recode[c] % m, x_add[recode[c] % m]
-        column = [(inverse[xblock + j], inverse[xblock + xrow[j]]) for j in range(m)]
-        pairs.extend(((block + zrow[i]) * size + y, (block + i) * size + w)
-                     for i in range(n) for (y, w) in column)
-    return FinRel._trusted(z.size * size, z.size * size, pairs)
+        for c in f_row:
+            xblock, xrow = recode[c] - recode[c] % m, x_add[recode[c] % m]
+            column = [(inverse[xblock + j], inverse[xblock + xrow[j]]) for j in range(m)]
+            for i in range(n):
+                source, target = (block + zrow[i]) * size, (block + i) * size
+                for (y, w) in column:
+                    if rows[source + y]:
+                        crowded = True
+                        rows[source + y] += (target + w,)
+                    else:
+                        rows[source + y] = (target + w,)
+    if crowded:
+        rows = [tuple(sorted(set(row))) for row in rows]
+    return FinRel._trusted(z.size * size, z.size * size, tuple(rows))
 
 
 def cnot(pair: ComplementaryPair) -> FinRel:
     """The controlled-not of the pair: copy in Z, then multiply in X."""
-    return _controlled_not(pair.z, ((b, b) for b in range(pair.size)), pair.x,
+    return _controlled_not(pair.z, identity(pair.size), pair.x,
                            pair.x_recode, pair.x_recode_inverse)
 
 
@@ -353,8 +371,7 @@ def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:
     recode = tuple(int(v) for v in recode)
     if sorted(recode) != list(range(z.size)):
         raise ValueError("recode must be a permutation of the underlying set")
-    identity_pairs = ((b, b) for b in range(z.size))
-    return is_unitary(_controlled_not(z, identity_pairs, x, recode, _inverse(recode)))
+    return is_unitary(_controlled_not(z, identity(z.size), x, recode, _inverse(recode)))
 
 
 def fourier_rel(pair: ComplementaryPair) -> FinRel:
@@ -371,7 +388,7 @@ def fourier_rel(pair: ComplementaryPair) -> FinRel:
             f"no basis-change bijection for {pair.spec()}: "
             "|G| != |H|; use absorbed preparation/measurement instead"
         )
-    return FinRel._trusted(pair.size, pair.size, enumerate(pair.x_recode_inverse))
+    return FinRel._trusted(pair.size, pair.size, tuple((u,) for u in pair.x_recode_inverse))
 
 
 _GROUPOID_SPEC = re.compile(r"^(Z\d+)(xZ\d+)*(\^\d+)?$")

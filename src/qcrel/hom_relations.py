@@ -8,25 +8,35 @@ data, and the admissible blackbox content of a unitary oracle.  Their census
 is built from the group structure, not searched for: each source copy picks
 one target copy and one group homomorphism from the target group into the
 source group (Pavlovic, arXiv:0812.2266; Heunen-Contreras-Cattaneo,
-arXiv:1112.1284).
+arXiv:1112.1284).  ``is_classical_relation`` reads a relation back into those
+blocks; the comonoid equations themselves (``classical_equations``) are its
+reference.
 
-Every predicate but surjectivity on objects is decided as an exact equality
-or inclusion of composites in Rel.  Multiplication A*A -> A relates only the
-defined products, so the multiplicative equation mult ; R == (R x R) ; mult
-says R(x*y) == R(x)*R(y) for every source pair (x, y): for subsets U, V of
-the target, U*V collects the defined products only, and an undefined x*y
-has the empty image.
+Every other predicate but surjectivity on objects is decided as an exact
+equality or inclusion of composites in Rel.  Multiplication A*A -> A relates
+only the defined products, so the multiplicative equation
+mult ; R == (R x R) ; mult says R(x*y) == R(x)*R(y) for every source pair
+(x, y): for subsets U, V of the target, U*V collects the defined products
+only, and an undefined x*y has the empty image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from math import gcd, prod
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Sequence
 
 from .groupoids import AbelianGroup, Groupoid
 from .relations import FinRel, tensor, then
+
+
+def _check_sizes(dom: int, cod: int, source: Groupoid, target: Groupoid) -> None:
+    if dom != source.size:
+        raise ValueError(f"relation domain {dom} != source groupoid size {source.size}")
+    if cod != target.size:
+        raise ValueError(f"relation codomain {cod} != target groupoid size {target.size}")
 
 
 @dataclass(frozen=True)
@@ -38,20 +48,22 @@ class StructuredRel:
     target: Groupoid
 
     def __post_init__(self) -> None:
-        if self.rel.dom_size != self.source.size:
-            raise ValueError(
-                f"relation domain {self.rel.dom_size} != source groupoid size {self.source.size}"
-            )
-        if self.rel.cod_size != self.target.size:
-            raise ValueError(
-                f"relation codomain {self.rel.cod_size} != target groupoid size {self.target.size}"
-            )
+        _check_sizes(self.rel.dom_size, self.rel.cod_size, self.source, self.target)
 
+    @classmethod
+    def from_json(cls, text: str, source: Groupoid, target: Groupoid) -> "StructuredRel":
+        """Parse a relation file between these groupoids.  Its sizes are
+        compared with theirs before any row is built, so a hostile size fails
+        fast with the same message as a mismatched relation."""
+        rel = FinRel.from_json(text, lambda dom, cod: _check_sizes(dom, cod, source, target))
+        return cls(rel, source, target)
 
-def _preserves_mult(s: StructuredRel) -> bool:
-    """The multiplicative equation mult ; R == (R x R) ; mult, built as relations."""
-    r = s.rel
-    return then(s.source.mult_rel, r) == then(tensor(r, r), s.target.mult_rel)
+    @cached_property
+    def _preserves_mult(self) -> bool:
+        """The multiplicative equation mult ; R == (R x R) ; mult, built as
+        relations and decided once per instance."""
+        r = self.rel
+        return then(self.source.mult_rel, r) == then(tensor(r, r), self.target.mult_rel)
 
 
 def is_groupoid_hom_relation(s: StructuredRel) -> bool:
@@ -64,7 +76,7 @@ def is_groupoid_hom_relation(s: StructuredRel) -> bool:
     that break the unit half of the monoid-homomorphism property this
     predicate is meant to feed."""
     units = then(s.source.unit_state().as_ket(), s.rel)
-    return units.pairs <= s.target.unit_state().as_ket().pairs and _preserves_mult(s)
+    return units.pairs <= s.target.unit_state().as_ket().pairs and s._preserves_mult
 
 
 def is_surjective_on_objects(s: StructuredRel) -> bool:
@@ -76,7 +88,7 @@ def is_surjective_on_objects(s: StructuredRel) -> bool:
 def is_monoid_hom_relation(s: StructuredRel) -> bool:
     """Exact equality of both monoid-homomorphism equations, built as relations."""
     unit_ok = then(s.source.unit_state().as_ket(), s.rel) == s.target.unit_state().as_ket()
-    return unit_ok and _preserves_mult(s)
+    return unit_ok and s._preserves_mult
 
 
 class ClassicalEquations(NamedTuple):
@@ -85,7 +97,9 @@ class ClassicalEquations(NamedTuple):
 
 
 def classical_equations(s: StructuredRel) -> ClassicalEquations:
-    """The two comonoid-homomorphism equations, each as an exact relation equality."""
+    """The two comonoid-homomorphism equations, each as an exact relation
+    equality: the reference that ``is_classical_relation`` is tested against,
+    and what names the failing equation when an oracle input is refused."""
     r = s.rel
     comult_ok = then(r, s.target.comult_rel) == then(s.source.comult_rel, tensor(r, r))
     counit_ok = then(r, s.target.counit_rel) == s.source.counit_rel
@@ -93,14 +107,53 @@ def classical_equations(s: StructuredRel) -> ClassicalEquations:
 
 
 def is_classical_relation(s: StructuredRel) -> bool:
-    eqs = classical_equations(s)
-    return eqs.comult_ok and eqs.counit_ok
+    """Whether R is a comonoid homomorphism, read off its rows in O(|R|).
+
+    With source = copies of G and target = copies of H, R is classical
+    exactly when, for each source copy i, there are a target copy j and a
+    group homomorphism phi: H -> G with R restricted to copy i equal to
+    {(i*|G| + phi(h), j*|H| + h) : h in H}, the characterization the census
+    is built from.  Each source copy's rows are read back into such a table
+    phi, which must be total, single-valued and a homomorphism.
+    """
+    g, h = s.source.base, s.target.base
+    ng, nh = g.order, h.order
+    rows = s.rel.rows
+    for start in range(0, s.source.size, ng):
+        # phi(0) = 0, so the copy's identity reaches the target copy's identity
+        # j*|H|, which is also the least target the copy reaches.
+        first = rows[start]
+        if not first or first[0] % nh:
+            return False
+        base = first[0]
+        phi: list[Optional[int]] = [None] * nh
+        for a in range(ng):
+            for b in rows[start + a]:
+                y = b - base
+                if not 0 <= y < nh or phi[y] is not None:
+                    return False
+                phi[y] = a
+        if None in phi or not _is_homomorphism(phi, h, g):
+            return False
+    return True
 
 
 def is_self_conjugate(s: StructuredRel) -> bool:
     """Inverting in the source before R equals inverting in the target after
     it: inv ; R == R ; inv, with inverses taken inside each element's own copy."""
     return then(s.source.inv_rel, s.rel) == then(s.rel, s.target.inv_rel)
+
+
+def _hom_table(h: AbelianGroup, g: AbelianGroup,
+               images: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The map H -> G sending generator i of H to the element of G with
+    coordinates ``images[i]``, extended additively, as a table of its values
+    on the flat elements of H.  It is a homomorphism when each image has an
+    order dividing its generator's."""
+    # zip(*images) gives, per coordinate of G, that coordinate of each generator's image.
+    return tuple(
+        g.flat([sum(c * v for c, v in zip(h.coords(x), column)) for column in zip(*images)])
+        for x in range(h.order))
 
 
 def _homomorphisms(h: AbelianGroup, g: AbelianGroup) -> list[tuple[int, ...]]:
@@ -111,12 +164,18 @@ def _homomorphisms(h: AbelianGroup, g: AbelianGroup) -> list[tuple[int, ...]]:
         list(product(*(range(0, gj, gj // gcd(hi, gj)) for gj in g.cyclic_orders)))
         for hi in h.cyclic_orders
     ]
-    # zip(*images) gives, per coordinate of G, that coordinate of each generator's image.
-    return [
-        tuple(g.flat([sum(c * v for c, v in zip(h.coords(x), column)) for column in zip(*images)])
-              for x in range(h.order))
-        for images in product(*per_generator)
-    ]
+    return [_hom_table(h, g, images) for images in product(*per_generator)]
+
+
+def _is_homomorphism(phi: Sequence[int], h: AbelianGroup, g: AbelianGroup) -> bool:
+    """Whether the table ``phi`` on the flat elements of H is a homomorphism
+    H -> G: it must be the additive extension of its values on H's
+    generators, each of an order dividing its generator's."""
+    k = len(h.cyclic_orders)
+    images = [g.coords(phi[h.flat([int(i == j) for j in range(k)])]) for i in range(k)]
+    orders_divide = all(hi * v % gj == 0 for hi, image in zip(h.cyclic_orders, images)
+                        for v, gj in zip(image, g.cyclic_orders))
+    return orders_divide and tuple(phi) == _hom_table(h, g, images)
 
 
 def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
@@ -152,13 +211,9 @@ def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
         )
 
     ng, nh = g.order, h.order
-    blocks = sorted(
-        tuple(sorted((phi[y], j * nh + y) for y in range(nh)))
-        for j in range(target.copies)
-        for phi in _homomorphisms(h, g)
-    )
-    return [
-        FinRel._trusted(source.size, target.size,
-                        [(i * ng + a, b) for i, block in enumerate(choice) for (a, b) in block])
-        for choice in product(blocks, repeat=source.copies)
-    ]
+    blocks = sorted((FinRel(ng, target.size, ((phi[y], j * nh + y) for y in range(nh)))
+                     for j in range(target.copies) for phi in _homomorphisms(h, g)),
+                    key=FinRel.sorted_pairs)
+    return [FinRel._trusted(source.size, target.size,
+                            tuple(chain.from_iterable(block.rows for block in choice)))
+            for choice in product(blocks, repeat=source.copies)]

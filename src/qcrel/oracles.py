@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groupoids import ComplementaryPair, Groupoid, _controlled_not
-from .hom_relations import StructuredRel, classical_equations
+from .hom_relations import StructuredRel, classical_equations, is_classical_relation
 from .relations import FinRel
 
 
@@ -39,14 +39,13 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
     Rejects non-classical f unless ``unchecked`` is set; unitarity is only
     guaranteed for classical relations, but the comprehension itself is total.
     """
-    if not unchecked:
+    if not unchecked and not is_classical_relation(spec.f):
         eqs = classical_equations(spec.f)
         failing = [name for name, ok in zip(("comultiplication", "counit"), eqs) if not ok]
-        if failing:
-            raise ValueError(
-                "oracle input is not a classical relation: "
-                + " and ".join(failing) + " equation fails "
-                "(pass unchecked=True to build it anyway)"
-            )
+        raise ValueError(
+            "oracle input is not a classical relation: "
+            + " and ".join(failing) + " equation fails "
+            "(pass unchecked=True to build it anyway)"
+        )
     pb = spec.pair_b
-    return _controlled_not(spec.za, spec.f.rel.pairs, pb.x, pb.x_recode, pb.x_recode_inverse)
+    return _controlled_not(spec.za, spec.f.rel, pb.x, pb.x_recode, pb.x_recode_inverse)

@@ -6,6 +6,14 @@ relations, and the only two scalars are the identity and the empty relation
 on the one-element set.  All values are immutable and all operations are
 pure functions, so they can be shared freely across threads.
 
+Representation
+--------------
+A relation stores one row per source: ``rows[a]`` is the sorted tuple of
+a's successors, with no repeats, and ``()`` when a relates to nothing.  So
+composition gathers rows, the tensor offsets them, the converse transposes
+them, and equality compares them; relations built from others share the
+rows they can.  The pair set ``pairs`` is derived from the rows on first use.
+
 Composition order
 -----------------
 ``then(r, s)`` applies ``r`` first and ``s`` second, reading left to right
@@ -16,32 +24,40 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from functools import cached_property
+from typing import Callable, Iterable, Optional, Tuple
 
 
 Pair = Tuple[int, int]
+Row = Tuple[int, ...]
+
+
+def _check_positive(dom_size: int, cod_size: int) -> None:
+    if dom_size <= 0 or cod_size <= 0:
+        raise ValueError(f"relation sizes must be positive, got {dom_size}->{cod_size}")
 
 
 @dataclass(frozen=True)
 class FinRel:
     """A relation between the index sets ``range(dom_size)`` and ``range(cod_size)``.
 
-    Equality is equality of sizes and of the pair set; there is no hidden
-    representation state.
+    Equality is equality of sizes and of the rows, which determine the pair
+    set; there is no other representation state.
 
     >>> r = FinRel(3, 3, [(0, 0), (0, 2), (1, 1)])
     >>> sorted(r.image({0}))
     [0, 2]
+    >>> r.rows
+    ((0, 2), (1,), ())
     """
 
     dom_size: int
     cod_size: int
-    pairs: frozenset[Pair]
+    rows: tuple[Row, ...]
 
     def __init__(self, dom_size: int, cod_size: int, pairs: Iterable[Pair] = ()) -> None:
-        if dom_size <= 0 or cod_size <= 0:
-            raise ValueError(f"relation sizes must be positive, got {dom_size}->{cod_size}")
-        normalized = set()
+        _check_positive(dom_size, cod_size)
+        successors: dict[int, set[int]] = {}
         for p in pairs:
             a, b = p
             a, b = int(a), int(b)
@@ -49,30 +65,37 @@ class FinRel:
                 raise ValueError(
                     f"pair ({a},{b}) out of range for a {dom_size}->{cod_size} relation"
                 )
-            normalized.add((a, b))
+            successors.setdefault(a, set()).add(b)
         object.__setattr__(self, "dom_size", int(dom_size))
         object.__setattr__(self, "cod_size", int(cod_size))
-        object.__setattr__(self, "pairs", frozenset(normalized))
+        object.__setattr__(self, "rows", tuple(
+            tuple(sorted(successors[a])) if a in successors else () for a in range(self.dom_size)))
 
     @classmethod
-    def _trusted(cls, dom_size: int, cod_size: int, pairs: Iterable[Pair]) -> "FinRel":
-        """Build from int pairs already known to be in range, skipping the checks."""
+    def _trusted(cls, dom_size: int, cod_size: int, rows: tuple[Row, ...]) -> "FinRel":
+        """Build from rows already in the stored form (one sorted, repeat-free
+        tuple of in-range targets per source), skipping every check."""
         rel = object.__new__(cls)
         object.__setattr__(rel, "dom_size", dom_size)
         object.__setattr__(rel, "cod_size", cod_size)
-        object.__setattr__(rel, "pairs", frozenset(pairs))
+        object.__setattr__(rel, "rows", rows)
         return rel
 
+    @cached_property
+    def pairs(self) -> frozenset[Pair]:
+        """The relation as a set of (source, target) pairs, built on first use."""
+        return frozenset(self.sorted_pairs())
+
     def sorted_pairs(self) -> list[Pair]:
-        return sorted(self.pairs)
+        return [(a, b) for a, row in enumerate(self.rows) for b in row]
 
     def image(self, sources: Iterable[int]) -> frozenset[int]:
-        src = set(sources)
-        return frozenset(b for (a, b) in self.pairs if a in src)
+        rows = self.rows
+        return frozenset(b for a in set(sources) if 0 <= a < self.dom_size for b in rows[a])
 
     def preimage(self, targets: Iterable[int]) -> frozenset[int]:
         tgt = set(targets)
-        return frozenset(a for (a, b) in self.pairs if b in tgt)
+        return frozenset(a for a, row in enumerate(self.rows) if not tgt.isdisjoint(row))
 
     def to_json_dict(self) -> dict:
         return {"dom": self.dom_size, "cod": self.cod_size,
@@ -82,7 +105,11 @@ class FinRel:
         return json.dumps(self.to_json_dict())
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "FinRel":
+    def from_json_dict(cls, payload: dict,
+                       check_sizes: Optional[Callable[[int, int], None]] = None) -> "FinRel":
+        """Validate a decoded relation file.  ``check_sizes(dom, cod)``, when
+        given, runs after the pairs are validated and before any row is built,
+        so a caller can refuse a size it cannot hold."""
         if not isinstance(payload, dict) or set(payload) != {"dom", "cod", "pairs"}:
             raise ValueError("schema violation: expected keys dom, cod, pairs")
         dom, cod, pairs = payload["dom"], payload["cod"], payload["pairs"]
@@ -99,17 +126,21 @@ class FinRel:
             seen.add(key)
             if not (0 <= p[0] < dom and 0 <= p[1] < cod):
                 raise ValueError(f"out-of-range pair {p!r} for a {dom}->{cod} relation")
+        # Sizes that are not positive are left to the constructor's own message.
+        if check_sizes is not None and dom > 0 and cod > 0:
+            check_sizes(dom, cod)
         return cls(dom, cod, seen)
 
     @classmethod
-    def from_json(cls, text: str) -> "FinRel":
+    def from_json(cls, text: str,
+                  check_sizes: Optional[Callable[[int, int], None]] = None) -> "FinRel":
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"schema violation: not valid JSON ({exc})") from exc
         except RecursionError as exc:
             raise ValueError("schema violation: JSON nested too deeply") from exc
-        return cls.from_json_dict(payload)
+        return cls.from_json_dict(payload, check_sizes)
 
     def __repr__(self) -> str:
         return f"FinRel({self.dom_size}->{self.cod_size}, {self.sorted_pairs()})"
@@ -134,7 +165,7 @@ class StateVec:
 
     def as_ket(self) -> FinRel:
         """The relation {*} -> H selecting this subset."""
-        return FinRel(1, self.space_size, ((0, m) for m in self.members))
+        return FinRel._trusted(1, self.space_size, (tuple(sorted(self.members)),))
 
     def as_bra(self) -> FinRel:
         """The converse effect H -> {*}."""
@@ -144,7 +175,7 @@ class StateVec:
     def from_ket(cls, rel: FinRel) -> "StateVec":
         if rel.dom_size != 1:
             raise ValueError(f"a ket must have a one-element domain, got {rel.dom_size}")
-        return cls(rel.cod_size, (b for (_, b) in rel.pairs))
+        return cls(rel.cod_size, rel.rows[0])
 
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
@@ -166,28 +197,44 @@ class Scalar:
     def from_rel(cls, rel: FinRel) -> "Scalar":
         if rel.dom_size != 1 or rel.cod_size != 1:
             raise ValueError(f"a scalar must be a 1->1 relation, got {rel.dom_size}->{rel.cod_size}")
-        return cls(bool(rel.pairs))
+        return cls(bool(rel.rows[0]))
 
     def __bool__(self) -> bool:
         return self.possible
 
 
 def then(first: FinRel, second: FinRel) -> FinRel:
-    """Diagrammatic composition: apply ``first``, then ``second``."""
+    """Diagrammatic composition: apply ``first``, then ``second``.
+
+    Each row of the composite gathers the rows of ``second`` that the source
+    reaches; a source with one successor shares that successor's row.
+    """
     if first.cod_size != second.dom_size:
         raise ValueError(
             f"cannot compose {first.dom_size}->{first.cod_size} with "
             f"{second.dom_size}->{second.cod_size}: middle sizes differ"
         )
-    successors: dict[int, list[int]] = {}
-    for (b, c) in second.pairs:
-        successors.setdefault(b, []).append(c)
-    return FinRel._trusted(first.dom_size, second.cod_size,
-                           ((a, c) for (a, b) in first.pairs for c in successors.get(b, ())))
+    successors = second.rows
+    rows: list[Row] = []
+    for row in first.rows:
+        if len(row) == 1:
+            rows.append(successors[row[0]])
+        elif not row:
+            rows.append(())
+        else:
+            gathered: set[int] = set()
+            for b in row:
+                gathered.update(successors[b])
+            rows.append(tuple(sorted(gathered)))
+    return FinRel._trusted(first.dom_size, second.cod_size, tuple(rows))
 
 
 def converse(r: FinRel) -> FinRel:
-    return FinRel._trusted(r.cod_size, r.dom_size, ((b, a) for (a, b) in r.pairs))
+    columns: list[list[int]] = [[] for _ in range(r.cod_size)]
+    for a, row in enumerate(r.rows):
+        for b in row:
+            columns[b].append(a)
+    return FinRel._trusted(r.cod_size, r.dom_size, tuple(map(tuple, columns)))
 
 
 def tensor(r: FinRel, s: FinRel) -> FinRel:
@@ -198,8 +245,23 @@ def tensor(r: FinRel, s: FinRel) -> FinRel:
     coding for product sets.
     """
     m, n = s.dom_size, s.cod_size
-    return FinRel._trusted(r.dom_size * m, r.cod_size * n,
-                           ((x * m + u, y * n + v) for (x, y) in r.pairs for (u, v) in s.pairs))
+    s_rows = s.rows
+    # When every row of s holds one target, a source block is shifted at once.
+    function = set(map(len, s_rows)) == {1}
+    filled = [(u, s_row) for u, s_row in enumerate(s_rows) if s_row]
+    rows: list[Row] = [()] * (r.dom_size * m)
+    for x, r_row in enumerate(r.rows):
+        block = slice(x * m, (x + 1) * m)
+        if r_row == (0,):
+            rows[block] = s_rows
+        elif function and len(r_row) == 1:
+            o = r_row[0] * n
+            rows[block] = [(o + v,) for (v,) in s_rows]
+        elif r_row:
+            offsets = [y * n for y in r_row]
+            for u, s_row in filled:
+                rows[x * m + u] = tuple([o + v for o in offsets for v in s_row])
+    return FinRel._trusted(r.dom_size * m, r.cod_size * n, tuple(rows))
 
 
 def symmetric_difference(r: FinRel, s: FinRel) -> FinRel:
@@ -208,11 +270,13 @@ def symmetric_difference(r: FinRel, s: FinRel) -> FinRel:
             f"symmetric difference needs matching shapes, got "
             f"{r.dom_size}->{r.cod_size} and {s.dom_size}->{s.cod_size}"
         )
-    return FinRel(r.dom_size, r.cod_size, r.pairs ^ s.pairs)
+    return FinRel._trusted(r.dom_size, r.cod_size, tuple(
+        tuple(sorted(set(x).symmetric_difference(y))) for x, y in zip(r.rows, s.rows)))
 
 
 def identity(n: int) -> FinRel:
-    return FinRel(n, n, ((i, i) for i in range(n)))
+    _check_positive(n, n)
+    return FinRel._trusted(n, n, tuple((i,) for i in range(n)))
 
 
 def empty(n: int, m: int) -> FinRel:
@@ -229,14 +293,10 @@ def swap(n: int, m: int) -> FinRel:
 
 
 def is_unitary(r: FinRel) -> bool:
-    """True iff ``r`` is a bijection (direct row/column counting check)."""
-    if r.dom_size != r.cod_size:
-        return False
-    if len(r.pairs) != r.dom_size:
-        return False
-    sources = {a for (a, _) in r.pairs}
-    targets = {b for (_, b) in r.pairs}
-    return len(sources) == r.dom_size and len(targets) == r.cod_size
+    """True iff ``r`` is a bijection: every row holds exactly one target and
+    no two rows hold the same one."""
+    return (r.dom_size == r.cod_size and set(map(len, r.rows)) == {1}
+            and len(set(r.rows)) == r.dom_size)
 
 
 def born_scalar(effect: StateVec, state: StateVec) -> Scalar:
@@ -255,6 +315,7 @@ def born_scalar(effect: StateVec, state: StateVec) -> Scalar:
 def as_bool_matrix(r: FinRel) -> list[list[int]]:
     """Render as a 0/1 matrix with rows indexed by the codomain (column-vector convention)."""
     mat = [[0] * r.dom_size for _ in range(r.cod_size)]
-    for (a, b) in r.pairs:
-        mat[b][a] = 1
+    for a, row in enumerate(r.rows):
+        for b in row:
+            mat[b][a] = 1
     return mat

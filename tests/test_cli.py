@@ -1,18 +1,19 @@
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qcrel import algorithms
+from qcrel import algorithms, hom_relations
 from qcrel.algorithms import DJInstance, dj_run
 from qcrel.cli import emit_report, main, parse_relation_file
 from qcrel.groupoids import ComplementaryPair, parse_groupoid_spec, parse_pair_spec
 from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
-from qcrel.relations import FinRel, identity
+from qcrel.relations import FinRel, identity, tensor
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,29 +29,32 @@ def run_cli(args, **kwargs):
                           capture_output=True, text=True, **kwargs)
 
 
+Z3 = parse_groupoid_spec("Z3")
+
+
 class TestParseRelationFile:
     def test_identity(self, tmp_path):
         path = tmp_path / "id.json"
         path.write_text('{"dom":3,"cod":3,"pairs":[[0,0],[1,1],[2,2]]}')
-        assert parse_relation_file(path) == FinRel(3, 3, [(0, 0), (1, 1), (2, 2)])
+        assert parse_relation_file(path, Z3, Z3) == StructuredRel(identity(3), Z3, Z3)
 
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dom":3,"cod":3,"pairs":[[3,0]]}')
         with pytest.raises(ValueError, match="out-of-range pair"):
-            parse_relation_file(path)
+            parse_relation_file(path, Z3, Z3)
 
     def test_duplicate(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"dom":3,"cod":3,"pairs":[[0,0],[0,0]]}')
         with pytest.raises(ValueError, match="duplicate pair"):
-            parse_relation_file(path)
+            parse_relation_file(path, Z3, Z3)
 
     def test_schema(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text('{"dom":3,"pairs":[]}')
         with pytest.raises(ValueError, match="schema violation"):
-            parse_relation_file(path)
+            parse_relation_file(path, Z3, Z3)
 
 
 class TestVerifyStructure:
@@ -116,6 +120,16 @@ class TestCheckRelation:
         assert payload["predicates"]["classical"] is True
         assert payload["predicates"]["self_conjugate"] is True
 
+    def test_multiplicative_equation_decided_once(self, tmp_path, capsys, monkeypatch):
+        # Of the five predicates only the multiplicative equation takes R x R.
+        calls = []
+        monkeypatch.setattr(hom_relations, "tensor",
+                            lambda r, s: calls.append(r) or tensor(r, s))
+        path = write_rel(tmp_path, identity(4))
+        assert main(["check-relation", "--from", "Z2^2", "--to", "Z2^2", "--rel", path]) == 0
+        assert capsys.readouterr().out.count(": true") == 5
+        assert len(calls) == 1
+
     def test_boolean_entries_are_input_error(self, tmp_path, capsys):
         path = tmp_path / "bool.json"
         path.write_text('{"dom": true, "cod": 2, "pairs": [[false, true]]}')
@@ -131,6 +145,56 @@ class TestCheckRelation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+HUGE = 10 ** 12
+
+
+class TestHostileRelationFiles:
+    """A relation file whose sizes do not match the groupoids is refused
+    before any of it is built, however large the sizes it claims."""
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"dom": HUGE, "cod": 2, "pairs": []},
+         f"relation domain {HUGE} != source groupoid size 2"),
+        ({"dom": 2, "cod": HUGE, "pairs": []},
+         f"relation codomain {HUGE} != target groupoid size 2"),
+    ], ids=["domain", "codomain"])
+    @pytest.mark.parametrize("verb", [
+        ["check-relation", "--from", "Z2", "--to", "Z2", "--rel"],
+        ["dj", "--pairA", "pair(Z2,Z1)", "--pairB", "pair(Z2,Z1)", "--oracle"],
+        ["grover", "--pairS", "pair(Z2,Z1)", "--pairB", "pair(Z2,Z1)", "--sigma", "0", "--oracle"],
+        ["homid", "--pairS", "pair(Z2,Z1)", "--pairB", "pair(Z2,Z1)", "--sigma", "0", "--oracle"],
+    ], ids=lambda verb: verb[0])
+    def test_sizes_checked_before_rows_are_built(self, verb, payload, message, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        # A 1 GB address-space cap on the child turns a regression into a
+        # fast MemoryError instead of a run that fills the machine.
+        proc = run_cli([*verb, str(path)], timeout=60, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+# Starts the command given as arguments and prints its peak resident set in
+# kB.  The command is a grandchild of the test run, so its high-water mark
+# starts from this small interpreter's, not from the test run's.
+PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+class TestMemoryGuard:
+    def test_dj_on_pair_z16_stays_under_150_mb(self, tmp_path):
+        path = write_rel(tmp_path, identity(256))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "qcrel.cli", "dj",
+             "--pairA", "pair(Z16,Z16)", "--pairB", "pair(Z16,Z16)", "--oracle", path],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 150 * 1024
 
 
 class TestVerificationPropertyViolated:

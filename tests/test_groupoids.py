@@ -133,6 +133,15 @@ class TestComplementaryPair:
         assert [s.sorted_members() for s in pair.z.classical_states()] == [[0, 1], [2, 3]]
         assert [s.sorted_members() for s in pair.x_classical_states()] == [[0, 2], [1, 3]]
 
+    def test_classical_states_built_once_per_instance(self):
+        pair = parse_pair_spec("pair(Z2,Z3)")
+        assert type(pair.x_classical_states()) is tuple
+        assert pair.x_classical_states() is pair.x_classical_states()
+        assert pair.z.classical_states() is pair.z.classical_states()
+        fresh = parse_pair_spec("pair(Z2,Z3)")
+        assert fresh.x_classical_states() is not pair.x_classical_states()
+        assert fresh.x_classical_states() == pair.x_classical_states()
+
     def test_z2_z1_degenerate_side(self):
         pair = parse_pair_spec("pair(Z2,Z1)")
         assert pair.z.copies == 1 and pair.x.copies == 2

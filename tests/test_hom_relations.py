@@ -4,7 +4,7 @@ from math import gcd, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from qcrel.groupoids import parse_groupoid_spec
 from qcrel.hom_relations import (
@@ -51,7 +51,7 @@ def reference_classical_relations(src, tgt):
     found = []
     for images in product(*choices):
         rel = FinRel(src.size, tgt.size, [(a, b) for a, img in enumerate(images) for b in img])
-        if is_classical_relation(StructuredRel(rel, src, tgt)):
+        if all(classical_equations(StructuredRel(rel, src, tgt))):
             found.append(rel)
     return sorted(found, key=lambda r: r.sorted_pairs())
 
@@ -118,6 +118,14 @@ def load_golden(name):
 
 SMALL_PAIRS = [(a, b) for a, b in REFERENCE_PAIRS
                if parse_groupoid_spec(a).size * parse_groupoid_spec(b).size <= 9]
+
+
+@pytest.mark.parametrize("a,b", SMALL_PAIRS, ids=[f"{a}->{b}" for a, b in SMALL_PAIRS])
+def test_structural_classical_check_equals_equations(a, b):
+    src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
+    for rel in all_subsets(src, tgt):
+        s = StructuredRel(rel, src, tgt)
+        assert is_classical_relation(s) == all(classical_equations(s)), rel
 
 
 @pytest.mark.parametrize("a,b", SMALL_PAIRS, ids=[f"{a}->{b}" for a, b in SMALL_PAIRS])
@@ -230,7 +238,7 @@ class TestEnumeration:
         pruned = enumerate_classical_relations(Z3, Z3)
         plain = sorted(
             (rel for rel in all_subsets(Z3, Z3)
-             if is_classical_relation(StructuredRel(rel, Z3, Z3))),
+             if all(classical_equations(StructuredRel(rel, Z3, Z3)))),
             key=lambda r: r.sorted_pairs())
         assert pruned == plain
 
@@ -317,7 +325,19 @@ def test_census_characterization(a, b):
     assert len(rels) == count
     keys = [r.sorted_pairs() for r in rels]
     assert all(x < y for x, y in zip(keys, keys[1:]))
-    # The comonoid equations cost up to tens of ms per relation on the largest
-    # groupoids here, so the member-by-member check is limited by total size.
-    if count * src.size * tgt.size <= 1 << 16:
-        assert all(is_classical_relation(StructuredRel(r, src, tgt)) for r in rels)
+    assert all(is_classical_relation(StructuredRel(r, src, tgt)) for r in rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(GROUPOID_SPECS, GROUPOID_SPECS, st.data())
+def test_structural_check_equals_equations_on_members_and_mutants(a, b, data):
+    """The structural check against the comonoid equations on a census
+    member, and on that member with one pair added or removed."""
+    src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
+    if census_size(src, tgt) > 4096:
+        reject()
+    rel = data.draw(st.sampled_from(enumerate_classical_relations(src, tgt)))
+    flip = (data.draw(st.integers(0, src.size - 1)), data.draw(st.integers(0, tgt.size - 1)))
+    for pairs in (rel.pairs, rel.pairs ^ {flip}):
+        s = StructuredRel(FinRel(src.size, tgt.size, pairs), src, tgt)
+        assert is_classical_relation(s) == all(classical_equations(s)), sorted(pairs)

@@ -116,6 +116,9 @@ class TestBuildOracle:
     def test_non_classical_rejected_with_equation_named(self):
         with pytest.raises(ValueError, match="counit"):
             build_oracle(spec_for(P22, Z22, full(4, 4)))
+        # Both identities go to an identity, so only the comultiplication fails.
+        with pytest.raises(ValueError, match=": comultiplication equation fails"):
+            build_oracle(spec_for(P22, Z22, FinRel(4, 4, [(0, 0), (2, 0)])))
 
     def test_unchecked_builds_anyway(self):
         oracle = build_oracle(spec_for(P22, Z22, full(4, 4)), unchecked=True)

@@ -41,6 +41,104 @@ def relations(draw, max_size=4, dom=None, cod=None):
     return FinRel(n, m, pairs)
 
 
+@st.composite
+def functions(draw, max_size=4):
+    """Relations with exactly one target per source, the shape some fast
+    paths of ``tensor`` and ``is_unitary`` single out."""
+    n, m = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    return FinRel(n, m, enumerate(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))))
+
+
+any_relations = st.one_of(relations(), functions())
+
+
+# The pair-set implementations the row-based operations replaced, kept as
+# their reference.
+
+def reference_then(r, s):
+    successors = {}
+    for (b, c) in s.pairs:
+        successors.setdefault(b, []).append(c)
+    return FinRel(r.dom_size, s.cod_size,
+                  ((a, c) for (a, b) in r.pairs for c in successors.get(b, ())))
+
+
+def reference_converse(r):
+    return FinRel(r.cod_size, r.dom_size, ((b, a) for (a, b) in r.pairs))
+
+
+def reference_tensor(r, s):
+    m, n = s.dom_size, s.cod_size
+    return FinRel(r.dom_size * m, r.cod_size * n,
+                  ((x * m + u, y * n + v) for (x, y) in r.pairs for (u, v) in s.pairs))
+
+
+def reference_symmetric_difference(r, s):
+    return FinRel(r.dom_size, r.cod_size, r.pairs ^ s.pairs)
+
+
+def reference_is_unitary(r):
+    if r.dom_size != r.cod_size or len(r.pairs) != r.dom_size:
+        return False
+    return (len({a for (a, _) in r.pairs}) == r.dom_size
+            and len({b for (_, b) in r.pairs}) == r.cod_size)
+
+
+def reference_image(r, sources):
+    return frozenset(b for (a, b) in r.pairs if a in set(sources))
+
+
+def reference_preimage(r, targets):
+    return frozenset(a for (a, b) in r.pairs if b in set(targets))
+
+
+def same_relation(fast, ref):
+    """Equal as values, with the same pair set, pair order and hash."""
+    assert fast == ref
+    assert (fast.dom_size, fast.cod_size, fast.pairs) == (ref.dom_size, ref.cod_size, ref.pairs)
+    assert fast.sorted_pairs() == sorted(ref.pairs)
+    assert hash(fast) == hash(ref)
+
+
+class TestRowsMatchPairSetReference:
+    """Every row-based operation against its pair-set reference, on random
+    shapes including empty rows and one-element domains or codomains."""
+
+    @given(any_relations, st.data())
+    @settings(max_examples=200)
+    def test_then(self, r, data):
+        s = data.draw(st.one_of(relations(dom=r.cod_size), relations(dom=r.cod_size, cod=1)))
+        same_relation(then(r, s), reference_then(r, s))
+
+    @given(any_relations)
+    def test_converse(self, r):
+        same_relation(converse(r), reference_converse(r))
+
+    @given(any_relations, any_relations)
+    @settings(max_examples=200)
+    def test_tensor(self, r, s):
+        same_relation(tensor(r, s), reference_tensor(r, s))
+
+    @given(any_relations, st.data())
+    def test_symmetric_difference(self, r, data):
+        s = data.draw(relations(dom=r.dom_size, cod=r.cod_size))
+        same_relation(symmetric_difference(r, s), reference_symmetric_difference(r, s))
+
+    @given(any_relations)
+    def test_is_unitary(self, r):
+        assert is_unitary(r) == reference_is_unitary(r)
+
+    @given(any_relations, st.sets(st.integers(-1, 5)))
+    def test_image_and_preimage(self, r, indices):
+        assert r.image(indices) == reference_image(r, indices)
+        assert r.preimage(indices) == reference_preimage(r, indices)
+
+    def test_rows_are_sorted_and_empty_rows_kept(self):
+        r = FinRel(4, 3, [(2, 2), (0, 1), (2, 0), (0, 1)])
+        assert r.rows == ((1,), (), (0, 2), ())
+        assert then(r, converse(r)).rows == ((0,), (), (2,), ())
+
+
 class TestCompose:
     def test_state_through_relation(self):
         # boolean column-vector composition: (1,0,1)^T as the image of {0}
