@@ -1,9 +1,10 @@
 """The three single-query blackbox algorithms, run possibilistically.
 
-Each runner builds the full relational pipeline (preparation, oracle,
-post-selection) exactly, evaluates every candidate measurement outcome, and
-returns a report.  Because the model is possibilistic, a run does not sample:
-the report carries the complete set of possible outcomes.
+Each runner pushes the prepared state through each stage of the relational
+pipeline (oracle, reflection, post-selection) exactly, without building the
+stage, evaluates every candidate measurement outcome, and returns a report.
+Because the model is possibilistic, a run does not sample: the report
+carries the complete set of possible outcomes.
 
 The raw pipeline composites are always computed and reported.  For the
 search and homomorphism-identification runners the *decision-level* outcome
@@ -18,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .groupoids import ComplementaryPair, fourier_rel
+from .groupoids import ComplementaryPair, _ControlledBlocks, fourier_rel
 from .hom_relations import StructuredRel, is_classical_relation
-from .oracles import OracleSpec, build_oracle
 from .relations import (
     FinRel,
     Scalar,
     StateVec,
+    _then_tensor,
     born_scalar,
     converse,
     identity,
@@ -94,23 +95,28 @@ def _validate(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: Struct
 
 def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: StructuredRel,
                   marker: StateVec, candidates: list[StateVec],
-                  diffusion: Optional[FinRel] = None) -> tuple[FinRel, list[FinRel]]:
+                  diffusion: Optional[FinRel] = None
+                  ) -> tuple[_ControlledBlocks, list[FinRel]]:
     """The pipeline all three runners share: prepare (first X-classical state
     of ``pair_in``) x ``marker``, query the oracle once, apply ``diffusion`` to
     the first system if given, and post-select the first system on each
     candidate's effect.
 
     ``candidates`` are X-classical states of ``pair_in``, starting with the
-    first, which is also the prepared state.  Returns the oracle and one
-    composite per candidate.  The oracle is built unchecked because the
-    instance has already run the classical-relation check it asked for.
+    first, which is also the prepared state.  Returns the oracle, as the
+    block index of f that ``build_oracle`` would expand, and one composite per
+    candidate.  No stage is built: the prepared state is pushed through each
+    one, so the composites are those of the built pipeline.  f is used
+    unchecked because the instance has already run the classical-relation
+    check it asked for.
     """
-    oracle = build_oracle(OracleSpec(pair_in.z, pair_out, f), unchecked=True)
-    n_out = pair_out.size
-    evolved = then(tensor(candidates[0].as_ket(), marker.as_ket()), oracle)
+    oracle = _ControlledBlocks(pair_in.z, f.rel, pair_out.x, pair_out.x_recode)
+    idn = identity(pair_out.size)
+    evolved = oracle.push(tensor(candidates[0].as_ket(), marker.as_ket()),
+                          pair_out.x_recode_inverse)
     if diffusion is not None:
-        evolved = then(evolved, tensor(diffusion, identity(n_out)))
-    return oracle, [then(evolved, tensor(rho.as_bra(), identity(n_out))) for rho in candidates]
+        evolved = _then_tensor(evolved, diffusion, idn)
+    return oracle, [_then_tensor(evolved, rho.as_bra(), idn) for rho in candidates]
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,8 @@ def dj_run(inst: DJInstance) -> RunReport:
     the (first X_A-classical x second X_B-classical) preparation; the decision
     scalar tests the second system's output against the second X_B-classical
     state.  When both pairs are square the pre-basis-change pipeline is also
-    built, measuring through the converse basis change, and must produce the
-    identical relation.
+    evaluated, measuring through the converse basis change, and must produce
+    the identical relation.
     """
     pair_a, pair_b, f = inst.pair_a, inst.pair_b, inst.f
     nb = pair_b.size
@@ -163,12 +169,10 @@ def dj_run(inst: DJInstance) -> RunReport:
     b_out = StateVec(nb, composite.image({0}))
     composite_scalar = born_scalar(h1b, b_out)
 
-    formula_members = frozenset(
-        z for z in h1b.members if inst.f.rel.preimage({z}) & h0a.members
-    )
+    formula_members = h1b.members & inst.f.rel.image(h0a.members)
     formula_scalar = Scalar(bool(formula_members))
 
-    oracle_unitary = is_unitary(oracle)
+    oracle_unitary = oracle.bijective()
     diagnostics = {
         "diffusion_unitary": None,
         "oracle_unitary": oracle_unitary,
@@ -183,10 +187,11 @@ def dj_run(inst: DJInstance) -> RunReport:
         ft_a, ft_b = fourier_rel(pair_a), fourier_rel(pair_b)
         g0a = pair_a.z.classical_states()[0]
         g1b = pair_b.z.classical_states()[1]
-        staged = then(tensor(g0a.as_ket(), g1b.as_ket()), tensor(ft_a, ft_b))
-        staged = then(staged, oracle)
-        staged = then(staged, tensor(converse(ft_a), identity(nb)))
-        staged = then(staged, tensor(g0a.as_bra(), identity(nb)))
+        idn = identity(nb)
+        staged = _then_tensor(tensor(g0a.as_ket(), g1b.as_ket()), ft_a, ft_b)
+        staged = oracle.push(staged, pair_b.x_recode_inverse)
+        staged = _then_tensor(staged, converse(ft_a), idn)
+        staged = _then_tensor(staged, g0a.as_bra(), idn)
         if staged != composite:
             raise AssertionError("basis-change pipeline disagrees with the absorbed composite")
         diagnostics["absorbed_equals_unabsorbed"] = True
@@ -254,7 +259,7 @@ def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
                 verification_outcomes.append(rho.sorted_members())
         agreement.append(pipeline_possible == decided)
 
-    oracle_unitary = is_unitary(oracle)
+    oracle_unitary = oracle.bijective()
     diagnostics = {
         "diffusion_unitary": d_unitary,
         "oracle_unitary": oracle_unitary,

@@ -264,6 +264,28 @@ def tensor(r: FinRel, s: FinRel) -> FinRel:
     return FinRel._trusted(r.dom_size * m, r.cod_size * n, tuple(rows))
 
 
+def _then_tensor(state: FinRel, r: FinRel, s: FinRel) -> FinRel:
+    """``then(state, tensor(r, s))`` without building the tensor: each row is
+    pushed through s and r factor by factor, reading only the rows it reaches.
+    """
+    m, n = s.dom_size, s.cod_size
+    if state.cod_size != r.dom_size * m:
+        raise ValueError(
+            f"cannot compose {state.dom_size}->{state.cod_size} with "
+            f"{r.dom_size * m}->{r.cod_size * n}: middle sizes differ"
+        )
+    rows: list[Row] = []
+    for row in state.rows:
+        # The successors in s of the sources with first factor x, by x.
+        reached: dict[int, set[int]] = {}
+        for a in row:
+            x, u = divmod(a, m)
+            reached.setdefault(x, set()).update(s.rows[u])
+        targets = {y * n + v for x, vs in reached.items() for y in r.rows[x] for v in vs}
+        rows.append(tuple(sorted(targets)))
+    return FinRel._trusted(state.dom_size, r.cod_size * n, tuple(rows))
+
+
 def symmetric_difference(r: FinRel, s: FinRel) -> FinRel:
     if (r.dom_size, r.cod_size) != (s.dom_size, s.cod_size):
         raise ValueError(

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrel.algorithms import (
     BALANCED,
@@ -16,15 +19,36 @@ from qcrel.algorithms import (
     grover_run,
     grover_zero_condition,
 )
-from qcrel.groupoids import parse_groupoid_spec, parse_pair_spec
+from qcrel.groupoids import (
+    AbelianGroup,
+    ComplementaryPair,
+    fourier_rel,
+    parse_groupoid_spec,
+    parse_pair_spec,
+)
 from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
-from qcrel.relations import FinRel, StateVec, is_unitary
+from qcrel.oracles import OracleSpec, build_oracle
+from qcrel.relations import (
+    FinRel,
+    StateVec,
+    converse,
+    empty,
+    full,
+    identity,
+    is_unitary,
+    tensor,
+    then,
+)
 
 
 P22 = parse_pair_spec("pair(Z2,Z2)")
 P31 = parse_pair_spec("pair(Z3,Z1)")
 Z22 = parse_groupoid_spec("Z2^2")
 Z3 = parse_groupoid_spec("Z3")
+
+# Canonical pairs of up to 12 elements, square or not, with one or two cyclic factors.
+GROUPS = st.builds(AbelianGroup, st.lists(st.integers(1, 3), min_size=1, max_size=2))
+PAIRS = st.builds(ComplementaryPair, GROUPS, GROUPS).filter(lambda p: p.size <= 12)
 
 def grover_opposite_mapping(inst, rho):
     """The all-quantified opposite-mapping predicate: every rho element maps
@@ -289,3 +313,87 @@ class TestRunReportPayload:
                                 "possible_outcomes", "scalars", "diagnostics"}
         assert payload["diagnostics"]["queries"] == 1
         assert list(payload["diagnostics"])[:3] == ["diffusion_unitary", "oracle_unitary", "queries"]
+
+
+# The built pipeline the runners replaced: the oracle and every stage built
+# as a relation, then composed.  Kept as the reference for the pushed state.
+
+def reference_single_query(pair_in, pair_out, f, marker, candidates, diffusion=None):
+    oracle = build_oracle(OracleSpec(pair_in.z, pair_out, f), unchecked=True)
+    n_out = pair_out.size
+    evolved = then(tensor(candidates[0].as_ket(), marker.as_ket()), oracle)
+    if diffusion is not None:
+        evolved = then(evolved, tensor(diffusion, identity(n_out)))
+    return oracle, [then(evolved, tensor(rho.as_bra(), identity(n_out))) for rho in candidates]
+
+
+def reference_unabsorbed(pair_a, pair_b, oracle):
+    ft_a, ft_b = fourier_rel(pair_a), fourier_rel(pair_b)
+    g0a, g1b = pair_a.z.classical_states()[0], pair_b.z.classical_states()[1]
+    staged = then(tensor(g0a.as_ket(), g1b.as_ket()), tensor(ft_a, ft_b))
+    staged = then(staged, oracle)
+    staged = then(staged, tensor(converse(ft_a), identity(pair_b.size)))
+    return then(staged, tensor(g0a.as_bra(), identity(pair_b.size)))
+
+
+def assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=False):
+    """Every runner whose instance accepts (pair_in, pair_out, rel) against
+    the built pipeline: composites, ``unabsorbed`` and ``oracle_unitary``."""
+    f = StructuredRel(rel, pair_in.z, pair_out.z)
+    candidates = pair_in.x_classical_states()
+    sigma = pair_out.x_classical_states()[sigma_index]
+    if pair_out.g.order >= 2:
+        report = dj_run(DJInstance(pair_in, pair_out, f, unchecked))
+        h1b = pair_out.x_classical_states()[1]
+        oracle, (expected,) = reference_single_query(pair_in, pair_out, f, h1b, candidates[:1])
+        assert report.composites["pipeline"] == expected
+        assert report.diagnostics["oracle_unitary"] == is_unitary(oracle)
+        if pair_in.g.order == pair_in.h.order and pair_out.g.order == pair_out.h.order:
+            expected = reference_unabsorbed(pair_in, pair_out, oracle)
+            assert report.composites["unabsorbed"] == expected
+        else:
+            assert "unabsorbed" not in report.composites
+    diffusion = grover_diffusion(pair_in)
+    for run, inst, d in (
+            (grover_run, GroverInstance(pair_in, pair_out, f, sigma, unchecked), diffusion),
+            (grouphomid_run, HomIDInstance(pair_in, pair_out, f, sigma, unchecked), None)):
+        report = run(inst)
+        oracle, expected = reference_single_query(
+            pair_in, pair_out, f, sigma, candidates, None if d is None else d[0])
+        assert [report.composites[f"rho{i}"] for i in range(len(candidates))] == expected
+        assert report.diagnostics["oracle_unitary"] == is_unitary(oracle)
+        assert report.diagnostics["physical_evolution"] == (
+            is_unitary(oracle) and (d is None or d[1]))
+
+
+SMALLEST_PAIRS = ["pair(Z2,Z2)", "pair(Z3,Z2)", "pair(Z2,Z3)", "pair(Z1,Z4)"]
+
+
+class TestPushedPipelineMatchesBuiltReference:
+    @pytest.mark.parametrize("pairspec", SMALLEST_PAIRS)
+    def test_census_blackboxes(self, pairspec):
+        pair = parse_pair_spec(pairspec)
+        sigmas = len(pair.x_classical_states())
+        for k, rel in enumerate(enumerate_classical_relations(pair.z, pair.z)):
+            assert_runs_match_reference(pair, pair, rel, k % sigmas)
+
+    def test_every_complementary_recoding(self):
+        census = enumerate_classical_relations(Z22, Z22)
+        recoded = [ComplementaryPair(P22.g, P22.h, x_recode=perm)
+                   for perm in itertools.permutations(range(4))]
+        recoded = [pair for pair in recoded if pair.is_complementary_pair()]
+        assert len(recoded) == 16
+        for k, pair in enumerate(recoded):
+            for rel in census:
+                assert_runs_match_reference(pair, pair, rel, k % 2)
+
+    @given(PAIRS, PAIRS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unchecked_blackboxes_on_random_shapes(self, pair_in, pair_out, data):
+        n, m = pair_in.size, pair_out.size
+        cells = [(a, b) for a in range(n) for b in range(m)]
+        rel = data.draw(st.one_of(
+            st.just(empty(n, m)), st.just(full(n, m)),
+            st.sets(st.sampled_from(cells), max_size=2 * n).map(lambda p: FinRel(n, m, p))))
+        sigma_index = data.draw(st.integers(0, len(pair_out.x_classical_states()) - 1))
+        assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=True)

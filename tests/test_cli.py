@@ -196,6 +196,21 @@ class TestMemoryGuard:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 150 * 1024
 
+    # A run pushes its state through the n^2-row oracle and stage tensors
+    # without building them, so n = 1024 fits where a built oracle would not.
+    @pytest.mark.parametrize("verb,args", [
+        ("dj", ["--pairA", "pair(Z32,Z32)"]),
+        ("grover", ["--pairS", "pair(Z32,Z32)", "--sigma", "1"]),
+    ])
+    def test_run_on_pair_z32_stays_under_60_mb(self, tmp_path, verb, args):
+        path = write_rel(tmp_path, identity(1024))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-m", "qcrel.cli", verb,
+             *args, "--pairB", "pair(Z32,Z32)", "--oracle", path],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 60 * 1024
+
 
 class TestVerificationPropertyViolated:
     """A failed internal cross-check exits 2 with one message line, not a traceback."""

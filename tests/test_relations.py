@@ -6,6 +6,7 @@ from qcrel.relations import (
     FinRel,
     Scalar,
     StateVec,
+    _then_tensor,
     as_bool_matrix,
     born_scalar,
     converse,
@@ -132,6 +133,18 @@ class TestRowsMatchPairSetReference:
     def test_image_and_preimage(self, r, indices):
         assert r.image(indices) == reference_image(r, indices)
         assert r.preimage(indices) == reference_preimage(r, indices)
+
+    @given(any_relations, any_relations, st.data())
+    @settings(max_examples=200)
+    def test_then_tensor_pushes_without_building(self, r, s, data):
+        # One-row states (kets) and a few multi-row ones, on the tensor's domain.
+        dom = data.draw(st.sampled_from([1, 1, 2, 3]))
+        state = data.draw(relations(dom=dom, cod=r.dom_size * s.dom_size))
+        same_relation(_then_tensor(state, r, s), then(state, tensor(r, s)))
+
+    def test_then_tensor_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="middle sizes"):
+            _then_tensor(rel(1, 3, []), rel(2, 2, []), rel(2, 2, []))
 
     def test_rows_are_sorted_and_empty_rows_kept(self):
         r = FinRel(4, 3, [(2, 2), (0, 1), (2, 0), (0, 1)])
