@@ -32,7 +32,6 @@ from .relations import (
     is_unitary,
     symmetric_difference,
     tensor,
-    then,
 )
 
 CONSTANT = "constant"
@@ -143,8 +142,10 @@ def dj_classify(inst: DJInstance) -> str:
     """
     h0a = inst.pair_a.x_classical_states()[0].members
     h1b = inst.pair_b.x_classical_states()[1].members
+    rows = inst.f.rel.rows
     for gk in inst.pair_b.z.classical_states():
-        if inst.f.rel.pairs == frozenset((y, z) for y in h0a for z in gk.members):
+        block = tuple(gk.sorted_members())
+        if all(row == (block if a in h0a else ()) for a, row in enumerate(rows)):
             return CONSTANT
     if not (inst.f.rel.image(h0a) & h1b):
         return BALANCED
@@ -243,7 +244,7 @@ def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
     agreement = []
     for i, (rho, pipeline) in enumerate(zip(candidates, pipelines)):
         composites[f"rho{i}"] = pipeline
-        pipeline_possible = bool(pipeline.pairs)
+        pipeline_possible = any(pipeline.rows)
         value = law(inst, rho)
         decided = value == allowed
         scalars[f"rho{i}_composite"] = pipeline_possible
@@ -322,10 +323,9 @@ def grover_zero_condition(inst: GroverInstance, rho: StateVec) -> bool:
     X_S-classical state)."""
     if rho not in inst.pair_s.x_classical_states():
         raise ValueError("rho must be a classical state of the search system's X-basis")
+    f, sigma = inst.f.rel, inst.sigma.members
     h0 = inst.pair_s.x_classical_states()[0]
-    lhs = then(then(rho.as_ket(), inst.f.rel), inst.sigma.as_bra())
-    rhs = then(then(h0.as_ket(), inst.f.rel), inst.sigma.as_bra())
-    return bool(lhs.pairs) == bool(rhs.pairs)
+    return bool(f.image(rho.members) & sigma) == bool(f.image(h0.members) & sigma)
 
 
 def grover_run(inst: GroverInstance) -> RunReport:
@@ -365,10 +365,8 @@ def grouphomid_necessary(inst: HomIDInstance, rho: StateVec) -> bool:
     sigma.  Runs report an outcome only when this holds."""
     if rho not in inst.pair_g.x_classical_states():
         raise ValueError("rho must be a classical state of the first system's X-basis")
-    pairs = inst.f.rel.pairs
-    rho_witness = any(a in rho.members for (a, _) in pairs)
-    sigma_witness = any(b in inst.sigma.members for (_, b) in pairs)
-    return rho_witness and sigma_witness
+    rows, sigma = inst.f.rel.rows, inst.sigma.members
+    return any(rows[a] for a in rho.members) and any(not sigma.isdisjoint(row) for row in rows)
 
 
 def grouphomid_run(inst: HomIDInstance) -> RunReport:
@@ -381,6 +379,6 @@ def grouphomid_run(inst: HomIDInstance) -> RunReport:
     through the blackbox converse against rho); both can be strictly finer
     than the decision rule.
     """
-    pulled_back = StateVec.from_ket(then(inst.sigma.as_ket(), converse(inst.f.rel)))
+    pulled_back = StateVec(inst.f.rel.dom_size, inst.f.rel.preimage(inst.sigma.members))
     return _candidate_run("homid", inst, inst.pair_g, inst.pair_a,
                           "witness", grouphomid_necessary, True, verification=pulled_back)

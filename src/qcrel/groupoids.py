@@ -14,7 +14,9 @@ Arithmetic is by table: a group builds its Cayley and negation tables on
 first use, and a groupoid caches its structure relations.  The controlled-not
 visits, for each control c, only the targets y in c's X-copy; indexing f's
 pairs by block is enough to push a state through it or decide its
-bijectivity without building it.
+bijectivity without building it.  Complementarity is that bijectivity for
+f = identity: every Z-copy meets every X-copy in exactly one element.  A
+pair decides it once, when it is built, in O(n) and without any table.
 """
 
 from __future__ import annotations
@@ -262,6 +264,7 @@ class ComplementaryPair:
     x_recode: tuple[int, ...]
     canonical: bool
     x_recode_inverse: tuple[int, ...] = field(repr=False, compare=False)
+    _complementary: bool = field(repr=False, compare=False)
 
     def __init__(self, g: AbelianGroup, h: AbelianGroup,
                  x_recode: Optional[Sequence[int]] = None) -> None:
@@ -282,20 +285,15 @@ class ComplementaryPair:
         object.__setattr__(self, "x_recode", recode)
         object.__setattr__(self, "canonical", canonical)
         object.__setattr__(self, "x_recode_inverse", _inverse(recode))
-        if canonical:
-            # Mutual unbiasedness is structural for the canonical coding; keep it checked.
-            z_classical = [s.members for s in self.z.classical_states()]
-            x_unbiased = [s.members for s in self.x_unbiased_states()]
-            if z_classical != x_unbiased:
-                raise AssertionError("canonical pair violates the classical/unbiased correspondence")
+        complementary = is_complementary(z, x, recode)
+        # The canonical coding is complementary by construction; keep it checked.
+        if canonical and not complementary:
+            raise AssertionError("canonical pair violates the classical/unbiased correspondence")
+        object.__setattr__(self, "_complementary", complementary)
 
     @property
     def size(self) -> int:
         return self.z.size
-
-    def _from_x(self, states: Sequence[StateVec]) -> tuple[StateVec, ...]:
-        inverse = self.x_recode_inverse
-        return tuple(StateVec(self.size, (inverse[m] for m in s.members)) for s in states)
 
     def x_classical_states(self) -> tuple[StateVec, ...]:
         """X's classical states, expressed in the underlying coding."""
@@ -303,22 +301,16 @@ class ComplementaryPair:
 
     @cached_property
     def _x_classical_states(self) -> tuple[StateVec, ...]:
-        return self._from_x(self.x.classical_states())
-
-    def x_unbiased_states(self) -> tuple[StateVec, ...]:
-        """X's unbiased states, expressed in the underlying coding."""
-        return self._from_x(self.x.unbiased_states())
-
-    def x_mult(self, u: int, v: int) -> Optional[int]:
-        """X's partial multiplication transported to the underlying coding."""
-        w = self.x.mult(self.x_recode[u], self.x_recode[v])
-        return None if w is None else self.x_recode_inverse[w]
+        inverse = self.x_recode_inverse
+        return tuple(StateVec(self.size, (inverse[m] for m in s.members))
+                     for s in self.x.classical_states())
 
     def is_complementary_pair(self) -> bool:
-        """Whether the two bases really are complementary under ``x_recode``
-        (always true for the canonical coding; an explicit recoding may break
-        it), as decided by ``is_complementary``."""
-        return self.canonical or is_complementary(self.z, self.x, self.x_recode)
+        """Whether the two bases are complementary under ``x_recode``: the
+        verdict ``is_complementary`` gave once, at construction.  It always
+        holds for the canonical coding (construction fails otherwise); an
+        explicit recoding may break it."""
+        return self._complementary
 
     def spec(self) -> str:
         return f"pair({self.g.spec()},{self.h.spec()})"
@@ -369,18 +361,19 @@ class _ControlledBlocks:
 
     A block is a pair (K, L) of a Z-copy K of ``z`` and an X-copy L of ``x``
     under ``recode``; a pair (b, c) of f lies in block (Z-copy of b, X-copy
-    of c), and is kept as (the inverse of b in its group, c's element in its
-    X-copy), which is all the controlled relation needs of it.
+    of c), and is kept as (b's element in its group, c's element in its
+    X-copy), which is all the controlled relation needs of it.  Building the
+    index reads no group table; only ``push`` does.
     """
 
     def __init__(self, z: Groupoid, f: FinRel, x: Groupoid, recode: Sequence[int]) -> None:
-        n, m, neg = z.base.order, x.base.order, z.base.neg_table
+        n, m = z.base.order, x.base.order
         self.z, self.x, self.recode = z, x, recode
         self.blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for b, f_row in enumerate(f.rows):
             for c in f_row:
                 l, c_x = divmod(recode[c], m)
-                self.blocks.setdefault((b // n, l), []).append((neg[b % n], c_x))
+                self.blocks.setdefault((b // n, l), []).append((b % n, c_x))
 
     def bijective(self) -> bool:
         """Whether the controlled relation is a bijection: exactly when every
@@ -406,7 +399,7 @@ class _ControlledBlocks:
         """``then(state, _controlled_not(z, f, x, recode, inverse))``, reading
         only the rows the state reaches; ``inverse`` inverts ``recode``."""
         n, m, size = self.z.base.order, self.x.base.order, self.x.size
-        z_add, x_add = self.z.base.add_table, self.x.base.add_table
+        z_add, z_neg, x_add = self.z.base.add_table, self.z.base.neg_table, self.x.base.add_table
         rows = []
         for row in state.rows:
             targets: set[int] = set()
@@ -414,8 +407,8 @@ class _ControlledBlocks:
                 s, y = divmod(source, size)
                 k, i = divmod(s, n)
                 l, y_x = divmod(self.recode[y], m)
-                for b_neg, c_x in self.blocks.get((k, l), ()):
-                    targets.add((k * n + z_add[i][b_neg]) * size
+                for b_z, c_x in self.blocks.get((k, l), ()):
+                    targets.add((k * n + z_add[i][z_neg[b_z]]) * size
                                 + inverse[l * m + x_add[c_x][y_x]])
             rows.append(tuple(sorted(targets)))
         return FinRel._trusted(state.dom_size, state.cod_size, tuple(rows))

@@ -75,13 +75,13 @@ def is_groupoid_hom_relation(s: StructuredRel) -> bool:
     admits relations (the full relation on a one-copy groupoid, for one)
     that break the unit half of the monoid-homomorphism property this
     predicate is meant to feed."""
-    units = then(s.source.unit_state().as_ket(), s.rel)
-    return units.pairs <= s.target.unit_state().as_ket().pairs and s._preserves_mult
+    units = s.rel.image(s.source.identities())
+    return units <= set(s.target.identities()) and s._preserves_mult
 
 
 def is_surjective_on_objects(s: StructuredRel) -> bool:
     """Every target copy holds some element that is related to a source element."""
-    hit = {s.target.copy_of(b) for (_, b) in s.rel.pairs}
+    hit = {s.target.copy_of(b) for row in s.rel.rows for b in row}
     return len(hit) == s.target.copies
 
 

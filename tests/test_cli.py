@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcrel import algorithms, hom_relations
+from qcrel import algorithms, groupoids, hom_relations
 from qcrel.algorithms import DJInstance, dj_run
 from qcrel.cli import emit_report, main, parse_relation_file
 from qcrel.groupoids import ComplementaryPair, parse_groupoid_spec, parse_pair_spec
@@ -229,7 +229,7 @@ class TestVerificationPropertyViolated:
                                 "basis-change pipeline disagrees with the absorbed composite\n")
 
     def test_canonical_pair_check_fails(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ComplementaryPair, "x_unbiased_states", lambda self: [])
+        monkeypatch.setattr(groupoids._ControlledBlocks, "bijective", lambda self: False)
         assert self.run_dj(tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: verification property violated: canonical pair")

@@ -26,6 +26,19 @@ from qcrel.hom_relations import (
 from qcrel.relations import FinRel, StateVec, identity, is_unitary, tensor, then
 
 
+def x_mult(pair, u, v):
+    """X's partial multiplication transported to the underlying coding."""
+    w = pair.x.mult(pair.x_recode[u], pair.x_recode[v])
+    return None if w is None else pair.x_recode_inverse[w]
+
+
+def x_unbiased_states(pair):
+    """X's unbiased states, expressed in the underlying coding."""
+    inverse = pair.x_recode_inverse
+    return tuple(StateVec(pair.size, (inverse[m] for m in s.members))
+                 for s in pair.x.unbiased_states())
+
+
 small_groups = st.sampled_from(
     [AbelianGroup([n]) for n in (1, 2, 3, 4)] + [AbelianGroup([2, 2])]
 )
@@ -158,7 +171,7 @@ class TestComplementaryPair:
     def test_mutual_unbiasedness(self, g, h):
         pair = make_complementary_pair(g, h)
         assert [s.members for s in pair.z.classical_states()] \
-            == [s.members for s in pair.x_unbiased_states()]
+            == [s.members for s in x_unbiased_states(pair)]
         assert [s.members for s in pair.x_classical_states()] \
             == [s.members for s in pair.z.unbiased_states()]
 
@@ -177,7 +190,7 @@ class TestComplementaryPair:
                 for v in range(4):
                     w = pair.x.mult(pair.x_recode[u], pair.x_recode[v])
                     expected = None if w is None else pair.x_recode.index(w)
-                    assert pair.x_mult(u, v) == expected
+                    assert x_mult(pair, u, v) == expected
 
 
 class TestCnot:
@@ -202,7 +215,7 @@ class TestCnot:
             n = pair.size
             xmult = FinRel(n * n, n,
                            ((c * n + y, w) for c in range(n) for y in range(n)
-                            for w in [pair.x_mult(c, y)] if w is not None))
+                            for w in [x_mult(pair, c, y)] if w is not None))
             staged = then(tensor(pair.z.comult_rel, identity(n)),
                           tensor(identity(n), xmult))
             assert staged == cnot(pair)
@@ -302,8 +315,8 @@ def assert_maps_classical_states_across(pair):
 
 
 class TestLazyTables:
-    """Parsing, the census and surjectivity never build a Cayley table, so a
-    large group in a spec costs O(|G|), not O(|G|^2)."""
+    """Parsing, the complementarity check, the census and surjectivity never
+    build a Cayley table, so a large group in a spec costs O(|G|), not O(|G|^2)."""
 
     def test_no_table_for_large_specs(self):
         pair = parse_pair_spec("pair(Z100000,Z1)")
@@ -312,6 +325,9 @@ class TestLazyTables:
         (rel,) = enumerate_classical_relations(one, big)
         enumerate_classical_relations(big, one)
         assert is_surjective_on_objects(StructuredRel(rel, one, big))
+        recoded = ComplementaryPair(pair.g, pair.h, x_recode=range(pair.size - 1, -1, -1))
+        assert not recoded.canonical and recoded.is_complementary_pair()
+        assert is_complementary(pair.z, pair.x, pair.x_recode)
         for group in (pair.g, pair.h, big.base, one.base):
             assert "add_table" not in vars(group) and "neg_table" not in vars(group)
 

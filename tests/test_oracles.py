@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -31,12 +32,18 @@ def spec_for(pair, za, rel):
     return OracleSpec(za, pair, StructuredRel(rel, za, pair.z))
 
 
+def x_mult(pair, u, v):
+    """X's partial multiplication transported to the underlying coding."""
+    w = pair.x.mult(pair.x_recode[u], pair.x_recode[v])
+    return None if w is None else pair.x_recode_inverse[w]
+
+
 def oracle_by_pieces(spec):
     za, pb = spec.za, spec.pair_b
     na, nb = za.size, pb.size
     xmult = FinRel(nb * nb, nb,
                    ((c * nb + y, w) for c in range(nb) for y in range(nb)
-                    for w in [pb.x_mult(c, y)] if w is not None))
+                    for w in [x_mult(pb, c, y)] if w is not None))
     staged = tensor(za.comult_rel, identity(nb))
     staged = then(staged, tensor(identity(na), tensor(spec.f.rel, identity(nb))))
     return then(staged, tensor(identity(na), xmult))
@@ -79,12 +86,13 @@ def assert_fast_paths_match_reference(pair, blackboxes, rng):
     """cnot, is_complementary, build_oracle(unchecked=True) and the block
     index against the all-y loop."""
     n = pair.size
-    expected = reference_controlled_not(pair.z, ((b, b) for b in range(n)), pair.x_mult, n)
+    pair_x_mult = functools.partial(x_mult, pair)
+    expected = reference_controlled_not(pair.z, ((b, b) for b in range(n)), pair_x_mult, n)
     assert cnot(pair) == expected
     assert is_complementary(pair.z, pair.x, pair.x_recode) == is_unitary(expected)
     for f in blackboxes:
         oracle = build_oracle(spec_for(pair, pair.z, f), unchecked=True)
-        assert oracle == reference_controlled_not(pair.z, f.pairs, pair.x_mult, n)
+        assert oracle == reference_controlled_not(pair.z, f.pairs, pair_x_mult, n)
         assert_blocks_match_oracle(pair.z, pair, f, oracle, rng)
 
 
