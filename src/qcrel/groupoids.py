@@ -11,12 +11,14 @@ classes), glued by the canonical recoding that sends the Z-label
 (copy i, group element g) to the X-label (copy flat(g), element i).
 
 Arithmetic is by table: a group builds its Cayley and negation tables on
-first use, and a groupoid caches its structure relations.  The controlled-not
-visits, for each control c, only the targets y in c's X-copy; indexing f's
-pairs by block is enough to push a state through it or decide its
-bijectivity without building it.  Complementarity is that bijectivity for
-f = identity: every Z-copy meets every X-copy in exactly one element.  A
-pair decides it once, when it is built, in O(n) and without any table.
+first use, and a groupoid caches its structure relations.  The controlled
+relation of Z's comultiplication, a blackbox f and X's multiplication has one
+construction: f's pairs indexed by block (a Z-copy times an X-copy).  The
+index pushes a state through the relation, decides its bijectivity without
+building it, and expands it whole when pushed the identity.  Complementarity
+is that bijectivity for f = identity: every Z-copy meets every X-copy in
+exactly one element.  A pair decides it once, when it is built, in O(n) and
+without any table.
 """
 
 from __future__ import annotations
@@ -320,44 +322,17 @@ def make_complementary_pair(g: AbelianGroup, h: AbelianGroup) -> ComplementaryPa
     return ComplementaryPair(g, h)
 
 
-def _controlled_not(z: Groupoid, f: FinRel, x: Groupoid,
-                    recode: Sequence[int], inverse: Sequence[int]) -> FinRel:
-    """The controlled relation {((a.b, y), (a, c*y)) : (b,c) in f, a.b defined
-    in ``z``, c*y defined in ``x`` under ``recode``} on z.size*x.size.  The
-    controlled-not is the case f = identity; a blackbox oracle passes its
-    classical relation.  Only the y in the X-copy of c are visited: for every
-    other y the product c*y is undefined."""
-    n, m, size = z.base.order, x.base.order, x.size
-    z_add, x_add = z.base.add_table, x.base.add_table
-    rows: list[tuple[int, ...]] = [()] * (z.size * size)
-    crowded = False
-    for b, f_row in enumerate(f.rows):
-        block, zrow = b - b % n, z_add[b % n]
-        for c in f_row:
-            xblock, xrow = recode[c] - recode[c] % m, x_add[recode[c] % m]
-            column = [(inverse[xblock + j], inverse[xblock + xrow[j]]) for j in range(m)]
-            for i in range(n):
-                source, target = (block + zrow[i]) * size, (block + i) * size
-                for (y, w) in column:
-                    if rows[source + y]:
-                        crowded = True
-                        rows[source + y] += (target + w,)
-                    else:
-                        rows[source + y] = (target + w,)
-    if crowded:
-        rows = [tuple(sorted(set(row))) for row in rows]
-    return FinRel._trusted(z.size * size, z.size * size, tuple(rows))
-
-
-def cnot(pair: ComplementaryPair) -> FinRel:
-    """The controlled-not of the pair: copy in Z, then multiply in X."""
-    return _controlled_not(pair.z, identity(pair.size), pair.x,
-                           pair.x_recode, pair.x_recode_inverse)
-
-
 class _ControlledBlocks:
-    """The relation ``_controlled_not(z, f, x, recode, ...)`` kept as f's pairs
-    indexed by block, built in O(|f|) without any of its rows.
+    """The controlled relation
+
+        {((a.b, y), (a, c*y)) : (b, c) in f, a.b defined in ``z``,
+                                 c*y defined in ``x`` under ``recode``}
+
+    on z.size*x.size, kept as f's pairs indexed by block and built in O(|f|)
+    without any of its rows.  The controlled-not is the case f = identity; a
+    blackbox oracle passes its classical relation.  This index is the one
+    construction of the relation: ``push`` composes a state with it, and
+    pushing the identity expands it whole (``cnot``, ``build_oracle``).
 
     A block is a pair (K, L) of a Z-copy K of ``z`` and an X-copy L of ``x``
     under ``recode``; a pair (b, c) of f lies in block (Z-copy of b, X-copy
@@ -396,8 +371,12 @@ class _ControlledBlocks:
                 and all(len(pairs) == 1 for pairs in self.blocks.values()))
 
     def push(self, state: FinRel, inverse: Sequence[int]) -> FinRel:
-        """``then(state, _controlled_not(z, f, x, recode, inverse))``, reading
-        only the rows the state reaches; ``inverse`` inverts ``recode``."""
+        """``then(state, R)`` for the controlled relation R, reading only the
+        rows the state reaches; ``inverse`` inverts ``recode``.  Source (s, y)
+        reaches one target (s.b^-1, c*y) for each pair (b, c) in its block, so
+        only the y in c's X-copy are ever visited.  With ``state`` the identity
+        on z.size*x.size the result is R itself, every row sorted and
+        repeat-free, however many pairs share a block."""
         n, m, size = self.z.base.order, self.x.base.order, self.x.size
         z_add, z_neg, x_add = self.z.base.add_table, self.z.base.neg_table, self.x.base.add_table
         rows = []
@@ -412,6 +391,13 @@ class _ControlledBlocks:
                                 + inverse[l * m + x_add[c_x][y_x]])
             rows.append(tuple(sorted(targets)))
         return FinRel._trusted(state.dom_size, state.cod_size, tuple(rows))
+
+
+def cnot(pair: ComplementaryPair) -> FinRel:
+    """The controlled-not of the pair: copy in Z, then multiply in X."""
+    n = pair.size
+    return _ControlledBlocks(pair.z, identity(n), pair.x, pair.x_recode).push(
+        identity(n * n), pair.x_recode_inverse)
 
 
 def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groupoids import ComplementaryPair, Groupoid, _controlled_not
+from .groupoids import ComplementaryPair, Groupoid, _ControlledBlocks
 from .hom_relations import StructuredRel, classical_equations, is_classical_relation
-from .relations import FinRel
+from .relations import FinRel, identity
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,9 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
     """The endomorphism of A x B: ((x,y),(a, c*y)) whenever some b has
     a . b = x in Z_A, (b,c) in f, and c * y defined in X_B.
 
+    It is the controlled relation of ``groupoids._ControlledBlocks``, expanded
+    by pushing the identity on A x B through f's block index; the runs push
+    their prepared states through the same index instead of building this.
     Rejects non-classical f unless ``unchecked`` is set; unitarity is only
     guaranteed for classical relations, but the comprehension itself is total.
     """
@@ -48,4 +51,5 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
             "(pass unchecked=True to build it anyway)"
         )
     pb = spec.pair_b
-    return _controlled_not(spec.za, spec.f.rel, pb.x, pb.x_recode, pb.x_recode_inverse)
+    return _ControlledBlocks(spec.za, spec.f.rel, pb.x, pb.x_recode).push(
+        identity(spec.za.size * pb.size), pb.x_recode_inverse)

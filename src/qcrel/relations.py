@@ -168,8 +168,10 @@ class StateVec:
         return FinRel._trusted(1, self.space_size, (tuple(sorted(self.members)),))
 
     def as_bra(self) -> FinRel:
-        """The converse effect H -> {*}."""
-        return converse(self.as_ket())
+        """The converse effect H -> {*}, built as its column directly."""
+        members = self.members
+        return FinRel._trusted(self.space_size, 1, tuple(
+            (0,) if i in members else () for i in range(self.space_size)))
 
     @classmethod
     def from_ket(cls, rel: FinRel) -> "StateVec":

@@ -50,7 +50,7 @@ def oracle_by_pieces(spec):
 
 
 def reference_controlled_not(z, f_pairs, x_mult, size_out):
-    """The reference for the controlled loop: every y of the target is tried
+    """The reference for the controlled relation: every y of the target is tried
     and the undefined products c*y are skipped."""
     pairs = set()
     n = z.base.order
@@ -127,7 +127,14 @@ class TestFastPathsMatchReference:
     def test_trusted_results_revalidate(self):
         pair, za = parse_pair_spec("pair(Z2,Z3)"), parse_groupoid_spec("Z2xZ2^2")
         census = enumerate_classical_relations(za, pair.z)
+        # A crowded oracle (up to 12 targets a row) and the cnot of a recoded
+        # pair check that the expanded rows are sorted and repeat-free.
+        crowded = build_oracle(spec_for(pair, za, full(8, 6)), unchecked=True)
+        assert max(map(len, crowded.rows)) == 12
+        recoded = ComplementaryPair(pair.g, pair.h, x_recode=(1, 3, 2, 4, 0, 5))
+        assert recoded.is_complementary_pair() and not recoded.canonical
         built = [cnot(pair), build_oracle(spec_for(pair, za, census[-1])), *census,
+                 crowded, cnot(recoded),
                  za.mult_rel, za.comult_rel, za.counit_rel, za.inv_rel]
         for r in built:
             assert r == FinRel(r.dom_size, r.cod_size, r.pairs)

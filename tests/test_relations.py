@@ -321,6 +321,9 @@ class TestBornScalar:
         sta = StateVec(n, data.draw(st.sets(st.integers(0, n - 1))))
         composite = then(sta.as_ket(), eff.as_bra())
         assert born_scalar(eff, sta) == Scalar.from_rel(composite)
+        bra = eff.as_bra()
+        assert bra == converse(eff.as_ket())
+        assert bra == FinRel(bra.dom_size, bra.cod_size, bra.pairs)
 
 
 class TestPrimitives:
