@@ -110,12 +110,28 @@ def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: St
     check it asked for.
     """
     oracle = _ControlledBlocks(pair_in.z, f.rel, pair_out.x, pair_out.x_recode)
-    idn = identity(pair_out.size)
     evolved = oracle.push(tensor(candidates[0].as_ket(), marker.as_ket()),
                           pair_out.x_recode_inverse)
     if diffusion is not None:
-        evolved = _then_tensor(evolved, diffusion, idn)
-    return oracle, [_then_tensor(evolved, rho.as_bra(), idn) for rho in candidates]
+        evolved = _then_tensor(evolved, diffusion, identity(pair_out.size))
+    return oracle, _post_select(evolved, candidates, pair_out.size)
+
+
+def _post_select(state: FinRel, effects: list[StateVec], m: int) -> list[FinRel]:
+    """``_then_tensor(state, rho.as_bra(), identity(m))`` for every rho in
+    ``effects``, in one pass over ``state``: its targets (x, v) are grouped by
+    x once, and each effect's row is the union of the groups its members hold.
+    """
+    grouped = []
+    for row in state.rows:
+        by_x: dict[int, list[int]] = {}
+        for a in row:
+            x, v = divmod(a, m)
+            by_x.setdefault(x, []).append(v)
+        grouped.append(by_x)
+    return [FinRel._trusted(state.dom_size, m, tuple(
+        tuple(sorted({v for x in rho.members if x in by_x for v in by_x[x]}))
+        for by_x in grouped)) for rho in effects]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,16 @@ Verbs:
 Outputs are deterministic: pair lists are sorted and JSON keys have a fixed
 order, so identical inputs produce byte-identical output.  QCREL_THREADS
 is accepted and ignored; enumeration is single-threaded.  Exit codes: 0 ok,
-1 input error, 2 verification property violated.
+1 input error (an input too large to hold in memory included), 2 verification
+property violated.
+
+Each process parses a spec once: ``parse_groupoid_spec`` and
+``parse_pair_spec`` here are bounded caches (128 specs each) of the
+``groupoids`` parsers, so repeated ``main`` calls share a pair's tables,
+X-classical states and complementarity verdict.  The cached values are frozen,
+so sharing them changes no output; a spec that fails to parse raises and is
+never cached.  A pair given an explicit recoding is built per call, over the
+cached pair's groups.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,13 +41,8 @@ from .algorithms import (
     grouphomid_run,
     grover_run,
 )
-from .groupoids import (
-    ComplementaryPair,
-    Groupoid,
-    parse_groupoid_spec,
-    parse_pair_spec,
-    verify_classical_structure,
-)
+from . import groupoids
+from .groupoids import ComplementaryPair, Groupoid, verify_classical_structure
 from .hom_relations import (
     StructuredRel,
     enumerate_classical_relations,
@@ -47,6 +52,9 @@ from .hom_relations import (
     is_self_conjugate,
     is_surjective_on_objects,
 )
+
+parse_groupoid_spec = lru_cache(maxsize=128)(groupoids.parse_groupoid_spec)
+parse_pair_spec = lru_cache(maxsize=128)(groupoids.parse_pair_spec)
 
 
 def parse_relation_file(path: str | Path, source: Groupoid, target: Groupoid) -> StructuredRel:
@@ -222,6 +230,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.verb](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large to hold", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"error: verification property violated: {exc}", file=sys.stderr)

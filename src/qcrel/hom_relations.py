@@ -114,11 +114,13 @@ def is_classical_relation(s: StructuredRel) -> bool:
     group homomorphism phi: H -> G with R restricted to copy i equal to
     {(i*|G| + phi(h), j*|H| + h) : h in H}, the characterization the census
     is built from.  Each source copy's rows are read back into such a table
-    phi, which must be total, single-valued and a homomorphism.
+    phi, which must be total, single-valued and a homomorphism; each distinct
+    table is tested for the homomorphism law once.
     """
     g, h = s.source.base, s.target.base
     ng, nh = g.order, h.order
     rows = s.rel.rows
+    homomorphisms: set[tuple[int, ...]] = set()
     for start in range(0, s.source.size, ng):
         # phi(0) = 0, so the copy's identity reaches the target copy's identity
         # j*|H|, which is also the least target the copy reaches.
@@ -133,8 +135,13 @@ def is_classical_relation(s: StructuredRel) -> bool:
                 if not 0 <= y < nh or phi[y] is not None:
                     return False
                 phi[y] = a
-        if None in phi or not _is_homomorphism(phi, h, g):
+        if None in phi:
             return False
+        table = tuple(phi)
+        if table not in homomorphisms:
+            if not _is_homomorphism(table, h, g):
+                return False
+            homomorphisms.add(table)
     return True
 
 

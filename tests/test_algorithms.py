@@ -11,6 +11,7 @@ from qcrel.algorithms import (
     DJInstance,
     GroverInstance,
     HomIDInstance,
+    _post_select,
     dj_classify,
     dj_run,
     grouphomid_necessary,
@@ -31,6 +32,7 @@ from qcrel.oracles import OracleSpec, build_oracle
 from qcrel.relations import (
     FinRel,
     StateVec,
+    _then_tensor,
     converse,
     empty,
     full,
@@ -397,3 +399,33 @@ class TestPushedPipelineMatchesBuiltReference:
             st.sets(st.sampled_from(cells), max_size=2 * n).map(lambda p: FinRel(n, m, p))))
         sigma_index = data.draw(st.integers(0, len(pair_out.x_classical_states()) - 1))
         assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=True)
+
+
+# The per-candidate post-selection the one pass replaced: each effect's bra,
+# tensored with the identity, applied to the whole state.
+
+def reference_post_select(state, effects, m):
+    return [_then_tensor(state, rho.as_bra(), identity(m)) for rho in effects]
+
+
+class TestOnePassPostSelection:
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_candidate_reference(self, n, m, k, data):
+        cells = list(range(n * m))
+        rows = data.draw(st.lists(st.one_of(
+            st.just(set()), st.just(set(cells)), st.sets(st.sampled_from(cells))),
+            min_size=k, max_size=k))
+        state = FinRel(k, n * m, ((i, a) for i, row in enumerate(rows) for a in row))
+        effects = data.draw(st.lists(
+            st.sets(st.integers(0, n - 1)).map(lambda members: StateVec(n, members)), max_size=4))
+        # An effect on first factors that no row reaches meets nothing.
+        missed = set(range(n)) - {a // m for row in rows for a in row}
+        if missed:
+            effects.append(StateVec(n, missed))
+        assert _post_select(state, effects, m) == reference_post_select(state, effects, m)
+
+    def test_effect_meeting_nothing_gives_empty_rows(self):
+        state = FinRel(1, 6, [(0, 0), (0, 2)])
+        effects = [StateVec(2, [0]), StateVec(2, [1])]
+        assert _post_select(state, effects, 3) == [FinRel(1, 3, [(0, 0), (0, 2)]), FinRel(1, 3)]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcrel import algorithms, groupoids, hom_relations
+from qcrel import algorithms, cli, groupoids, hom_relations
 from qcrel.algorithms import DJInstance, dj_run
 from qcrel.cli import emit_report, main, parse_relation_file
 from qcrel.groupoids import ComplementaryPair, parse_groupoid_spec, parse_pair_spec
@@ -30,6 +30,17 @@ def run_cli(args, **kwargs):
 
 
 Z3 = parse_groupoid_spec("Z3")
+
+
+@pytest.fixture(autouse=True)
+def cold_spec_caches():
+    """Each test starts, and leaves, with the CLI's spec caches empty, so a
+    test that patches how specs are parsed sees its patch reached."""
+    cli.parse_groupoid_spec.cache_clear()
+    cli.parse_pair_spec.cache_clear()
+    yield
+    cli.parse_groupoid_spec.cache_clear()
+    cli.parse_pair_spec.cache_clear()
 
 
 class TestParseRelationFile:
@@ -150,6 +161,12 @@ class TestCheckRelation:
 HUGE = 10 ** 12
 
 
+def cap_address_space():
+    """A 1 GB address-space cap for a child, which turns a run that would
+    fill the machine into a fast MemoryError."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 class TestHostileRelationFiles:
     """A relation file whose sizes do not match the groupoids is refused
     before any of it is built, however large the sizes it claims."""
@@ -169,11 +186,19 @@ class TestHostileRelationFiles:
     def test_sizes_checked_before_rows_are_built(self, verb, payload, message, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(payload))
-        # A 1 GB address-space cap on the child turns a regression into a
-        # fast MemoryError instead of a run that fills the machine.
-        proc = run_cli([*verb, str(path)], timeout=60, preexec_fn=lambda: resource.setrlimit(
-            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        proc = run_cli([*verb, str(path)], timeout=60, preexec_fn=cap_address_space)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+
+class TestOutOfMemory:
+    def test_pair_too_large_to_hold_is_input_error(self, tmp_path):
+        # Nothing refuses this pair before its recoding and block index are
+        # built, and those outgrow the capped address space.
+        path = write_rel(tmp_path, identity(4))
+        proc = run_cli(["dj", "--pairA", "pair(Z1,Z3000000)", "--pairB", "pair(Z2,Z2)",
+                        "--oracle", path], timeout=120, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: out of memory: the input is too large to hold\n")
 
 
 # Starts the command given as arguments and prints its peak resident set in
@@ -323,6 +348,95 @@ class TestReportGoldens:
             argv = [str(path) if a == "{oracle}" else a for a in case["argv"]]
             code = main(argv)
             assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), argv
+
+
+def first_golden_case_of_each_kind(verb):
+    """The first case in ``reports_<verb>.jsonl`` for each (human or --json,
+    exit code) kind."""
+    cases = {}
+    for line in (GOLDEN / f"reports_{verb}.jsonl").read_text(encoding="utf-8").splitlines():
+        case = json.loads(line)
+        cases.setdefault(("--json" in case["argv"], case["exit"]), case)
+    return list(cases.values())
+
+
+class TestSpecCache:
+    """Repeated in-process calls share parsed specs and print the same bytes."""
+
+    def repeat(self, argv, capsys, times=3):
+        """(exit code, stdout, stderr) of ``main(argv)``, the same on every call."""
+        results = []
+        for _ in range(times):
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results == results[:1] * times, argv
+        return results[0]
+
+    @pytest.mark.parametrize("verb", ["dj", "dj_recoded", "grover", "homid"])
+    def test_run_verbs_repeat_golden_bytes(self, verb, tmp_path, capsys):
+        path = tmp_path / "oracle.json"
+        for case in first_golden_case_of_each_kind(verb):
+            path.write_text(json.dumps(case["oracle"]))
+            argv = [str(path) if a == "{oracle}" else a for a in case["argv"]]
+            code, out, _ = self.repeat(argv, capsys)
+            assert (code, out) == (case["exit"], case["stdout"]), argv
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_enumerate_repeats_golden_bytes(self, json_flag, capsys):
+        code, out, _ = self.repeat(["enumerate", "--from", "Z3", "--to", "Z3", *json_flag], capsys)
+        assert (code, out) == (0, (GOLDEN / "classical_z3_z3.jsonl").read_text())
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["human", "json"])
+    def test_structure_verbs_repeat_first_bytes(self, json_flag, tmp_path, capsys):
+        path = write_rel(tmp_path, FinRel(4, 4, [(0, 0), (1, 1), (2, 3), (3, 2)]))
+        for argv in (["verify-structure", "--groupoid", "Z2^2"],
+                     ["check-relation", "--from", "Z2^2", "--to", "Z2^2", "--rel", path]):
+            code, out, _ = self.repeat([*argv, *json_flag], capsys)
+            assert code == 0 and out, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-structure", "--groupoid", "Z2^"],
+        ["enumerate", "--from", "Z2", "--to", "Q3"],
+        ["dj", "--pairA", "pair(Z2)", "--pairB", "pair(Z2,Z2)", "--oracle", "f.json"],
+        ["grover", "--pairS", "pair(Z2,Z2)", "--pairB", "pair(Z0,Z2)", "--sigma", "0",
+         "--oracle", "f.json"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_spec_fails_every_call(self, argv, capsys):
+        code, out, err = self.repeat(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failed_parse_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="malformed pair spec"):
+                cli.parse_pair_spec("pair(Z2)")
+        assert cli.parse_pair_spec.cache_info().currsize == 0
+
+    def test_non_complementary_recode_after_canonical_run(self, tmp_path, capsys):
+        path = write_rel(tmp_path, FinRel(4, 4, [(0, 0), (0, 1), (2, 0), (2, 1)]))
+        canonical = ["dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)",
+                     "--oracle", path, "--json"]
+        first = self.repeat(canonical, capsys, times=1)
+        assert first[0] == 0
+        assert self.repeat(canonical + ["--recodeB", "0,1,2,3"], capsys) == (
+            1, "", "error: second system's bases are not complementary "
+                   "under the supplied recoding\n")
+        assert self.repeat(canonical, capsys) == first
+
+    def test_cli_shares_and_groupoids_builds_anew(self):
+        spec = "pair(Z2,Z2)"
+        assert groupoids.parse_pair_spec(spec) is not groupoids.parse_pair_spec(spec)
+        assert groupoids.parse_pair_spec(spec) == cli.parse_pair_spec(spec)
+        assert groupoids.parse_groupoid_spec("Z2^2") is not groupoids.parse_groupoid_spec("Z2^2")
+        assert cli.parse_pair_spec(spec) is cli.parse_pair_spec(spec)
+        assert cli.parse_groupoid_spec("Z2^2") is cli.parse_groupoid_spec("Z2^2")
+
+    def test_recoded_pair_is_new_over_the_cached_groups(self):
+        pair = cli.parse_pair_spec("pair(Z2,Z2)")
+        recoded = cli._parse_pair_argument("pair(Z2,Z2)", "0,2,1,3")
+        assert recoded is not pair and recoded == pair
+        assert recoded.g is pair.g and recoded.h is pair.h
 
 
 class TestComplementaryRecodes:

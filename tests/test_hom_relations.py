@@ -201,6 +201,17 @@ class TestClassical:
     def test_z4_doubling_entry(self):
         assert is_classical_relation(srel([(0, 0), (2, 1), (0, 2), (2, 3)], Z4, Z4))
 
+    @pytest.mark.parametrize("last", [(0, 1, 2, 3), (0, 1, 3, 2)], ids=["hom", "not_hom"])
+    def test_repeated_table_then_last_copy(self, last):
+        # Copies 0 and 1 repeat the identity table phi: Z4 -> Z4; copy 2 reads
+        # back ``last``, total and single-valued either way, but a
+        # homomorphism only in the first case.
+        z4_3 = parse_groupoid_spec("Z4^3")
+        tables = [(0, 1, 2, 3), (0, 1, 2, 3), last]
+        s = srel([(4 * i + phi[y], y) for i, phi in enumerate(tables) for y in range(4)],
+                 z4_3, Z4)
+        assert is_classical_relation(s) == all(classical_equations(s)) == (last == tables[0])
+
     def test_duality_with_monoid_hom_exhaustive_z3(self):
         for rel in all_subsets(Z3, Z3):
             lhs = is_classical_relation(StructuredRel(rel, Z3, Z3))
