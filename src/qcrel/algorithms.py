@@ -29,8 +29,6 @@ from .relations import (
     born_scalar,
     converse,
     identity,
-    is_unitary,
-    symmetric_difference,
     tensor,
 )
 
@@ -324,13 +322,9 @@ def grover_diffusion(pair_s: ComplementaryPair) -> tuple[FinRel, bool]:
     Returns the relation and its bijectivity flag.  The flag is genuinely
     informative: with more than two copies in the X-basis the reflection
     stops being a bijection, and a run using it is then not a physical
-    evolution in the model.
+    evolution in the model.  Each pair builds its reflection once and keeps it.
     """
-    h0 = pair_s.x_classical_states()[0].members
-    n = pair_s.size
-    block = FinRel(n, n, ((a, b) for a in h0 for b in h0))
-    d = symmetric_difference(identity(n), block)
-    return d, is_unitary(d)
+    return pair_s._h0_reflection
 
 
 def grover_zero_condition(inst: GroverInstance, rho: StateVec) -> bool:

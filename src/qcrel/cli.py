@@ -21,6 +21,11 @@ X-classical states and complementarity verdict.  The cached values are frozen,
 so sharing them changes no output; a spec that fails to parse raises and is
 never cached.  A pair given an explicit recoding is built per call, over the
 cached pair's groups.
+
+Each ``main`` call builds a new parser with every verb, but only the named
+verbs' arguments: argparse picks a verb by its exact name among the argv tokens
+(no aliases, abbreviations or ``@file``), and no output shows the arguments of
+a verb that is not picked, so output is as with every verb's arguments built.
 """
 
 from __future__ import annotations
@@ -102,41 +107,29 @@ def _parse_pair_argument(spec: str, recode: Optional[str]) -> ComplementaryPair:
     return ComplementaryPair(pair.g, pair.h, x_recode=perm)
 
 
-# The run verbs: help, first system's letter, blackbox role, takes --sigma, instance
-# class, runner (looked up by name when called, so a tracer's wrapper sees the call).
+# The run verbs: first system's letter, blackbox role, takes --sigma, instance class,
+# runner (looked up by name when called, so a tracer's wrapper sees the call).
 _RUN_VERBS = {
-    "dj": ("run the constant-vs-balanced distinguisher", "A", "blackbox", False,
-           DJInstance, lambda inst: dj_run(inst)),
-    "grover": ("run the single-step search", "S", "indicator", True,
-               GroverInstance, lambda inst: grover_run(inst)),
-    "homid": ("run the homomorphism identification step", "S", "blackbox", True,
-              HomIDInstance, lambda inst: grouphomid_run(inst)),
+    "dj": ("A", "blackbox", False, DJInstance, lambda inst: dj_run(inst)),
+    "grover": ("S", "indicator", True, GroverInstance, lambda inst: grover_run(inst)),
+    "homid": ("S", "blackbox", True, HomIDInstance, lambda inst: grouphomid_run(inst)),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("verify-structure", help="check the five classical-structure laws")
-    p.add_argument("--groupoid", required=True, help="groupoid spec, e.g. Z2^2")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("enumerate", help="list all classical relations between two groupoids")
-    p.add_argument("--from", dest="source", required=True, help="source groupoid spec")
-    p.add_argument("--to", dest="target", required=True, help="target groupoid spec")
-    p.add_argument("--budget", type=int, default=1 << 16,
-                   help="max relations listed (default 65536); a larger census is refused")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("check-relation", help="evaluate all five predicates for a relation")
-    p.add_argument("--from", dest="source", required=True)
-    p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--rel", required=True, help="relation file (JSON)")
-    p.add_argument("--json", action="store_true")
-
-    for verb, (help_text, first, role, marked, _, _) in _RUN_VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
+def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
+    if verb == "verify-structure":
+        p.add_argument("--groupoid", required=True, help="groupoid spec, e.g. Z2^2")
+    elif verb == "enumerate":
+        p.add_argument("--from", dest="source", required=True, help="source groupoid spec")
+        p.add_argument("--to", dest="target", required=True, help="target groupoid spec")
+        p.add_argument("--budget", type=int, default=1 << 16,
+                       help="max relations listed (default 65536); a larger census is refused")
+    elif verb == "check-relation":
+        p.add_argument("--from", dest="source", required=True)
+        p.add_argument("--to", dest="target", required=True)
+        p.add_argument("--rel", required=True, help="relation file (JSON)")
+    else:
+        first, role, marked, _, _ = _RUN_VERBS[verb]
         p.add_argument(f"--pair{first}", required=True, help="pair spec, e.g. pair(Z2,Z2)")
         p.add_argument("--pairB", required=True)
         p.add_argument("--oracle", required=True, help=f"{role} relation file (JSON)")
@@ -147,8 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--recodeB", help="advanced: explicit X recoding for system B")
         p.add_argument("--unchecked", action="store_true",
                        help=f"skip the classical-relation check on the {role}")
-        p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true")
 
+
+def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """Every verb, with the arguments of those named in ``argv`` (all if None)."""
+    parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, _) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        if argv is None or verb in argv:
+            _add_arguments(p, verb)
     return parser
 
 
@@ -200,7 +202,7 @@ def _cmd_check_relation(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _, first, _, marked, instance, run = _RUN_VERBS[args.verb]
+    first, _, marked, instance, run = _RUN_VERBS[args.verb]
     pair_in = _parse_pair_argument(getattr(args, f"pair{first}"), getattr(args, f"recode{first}"))
     pair_b = _parse_pair_argument(args.pairB, args.recodeB)
     f = parse_relation_file(args.oracle, pair_in.z, pair_b.z)
@@ -210,24 +212,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "verify-structure": _cmd_verify_structure,
-    "enumerate": _cmd_enumerate,
-    "check-relation": _cmd_check_relation,
-    **dict.fromkeys(_RUN_VERBS, _cmd_run),
+# Every verb, in help order: help, command.
+_VERBS = {
+    "verify-structure": ("check the five classical-structure laws", _cmd_verify_structure),
+    "enumerate": ("list all classical relations between two groupoids", _cmd_enumerate),
+    "check-relation": ("evaluate all five predicates for a relation", _cmd_check_relation),
+    "dj": ("run the constant-vs-balanced distinguisher", _cmd_run),
+    "grover": ("run the single-step search", _cmd_run),
+    "homid": ("run the homomorphism identification step", _cmd_run),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; code 2 is reserved for property
         # violations, so malformed invocations report as input errors.
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.verb](args)
+        return _VERBS[args.verb][1](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,9 @@ from .relations import (
     StateVec,
     converse,
     identity,
+    is_unitary,
     swap,
+    symmetric_difference,
     tensor,
     then,
 )
@@ -306,6 +308,14 @@ class ComplementaryPair:
         inverse = self.x_recode_inverse
         return tuple(StateVec(self.size, (inverse[m] for m in s.members))
                      for s in self.x.classical_states())
+
+    @cached_property
+    def _h0_reflection(self) -> tuple[FinRel, bool]:
+        """``algorithms.grover_diffusion``, built once per pair."""
+        h0 = self._x_classical_states[0].members
+        d = symmetric_difference(identity(self.size), FinRel(
+            self.size, self.size, ((a, b) for a in h0 for b in h0)))
+        return d, is_unitary(d)
 
     def is_complementary_pair(self) -> bool:
         """Whether the two bases are complementary under ``x_recode``: the

@@ -126,10 +126,15 @@ class FinRel:
             seen.add(key)
             if not (0 <= p[0] < dom and 0 <= p[1] < cod):
                 raise ValueError(f"out-of-range pair {p!r} for a {dom}->{cod} relation")
-        # Sizes that are not positive are left to the constructor's own message.
+        # Sizes that are not positive get their own message, after the size check.
         if check_sizes is not None and dom > 0 and cod > 0:
             check_sizes(dom, cod)
-        return cls(dom, cod, seen)
+        _check_positive(dom, cod)
+        successors: dict[int, list[int]] = {}
+        for a, b in seen:
+            successors.setdefault(a, []).append(b)
+        return cls._trusted(dom, cod, tuple(
+            tuple(sorted(successors[a])) if a in successors else () for a in range(dom)))
 
     @classmethod
     def from_json(cls, text: str,

@@ -38,6 +38,7 @@ from qcrel.relations import (
     full,
     identity,
     is_unitary,
+    symmetric_difference,
     tensor,
     then,
 )
@@ -166,6 +167,38 @@ class TestGroverDiffusion:
         d, flag = grover_diffusion(parse_pair_spec("pair(Z1,Z1)"))
         assert d.pairs == frozenset()
         assert flag is False
+
+    @staticmethod
+    def fresh_reflection(pair):
+        """The reflection built anew from the pair, with a validated block."""
+        h0 = pair.x_classical_states()[0].members
+        n = pair.size
+        d = symmetric_difference(identity(n), FinRel(n, n, [(a, b) for a in h0 for b in h0]))
+        return d, is_unitary(d)
+
+    @pytest.mark.parametrize("spec", ["pair(Z1,Z1)", "pair(Z2,Z2)", "pair(Z3,Z3)",
+                                      "pair(Z2,Z3)", "pair(Z2xZ2,Z2)", "pair(Z4,Z1)"])
+    def test_built_once_per_canonical_pair(self, spec):
+        pair = parse_pair_spec(spec)
+        first = grover_diffusion(pair)
+        again = grover_diffusion(pair)
+        assert again is first and again[0] is first[0]
+        assert first == self.fresh_reflection(pair)
+        # A new pair object, equal to the first, builds its own.
+        other = parse_pair_spec(spec)
+        assert grover_diffusion(other) is not first
+        assert grover_diffusion(other) == first
+
+    @given(st.sampled_from(["pair(Z2,Z2)", "pair(Z3,Z3)", "pair(Z2,Z3)", "pair(Z2xZ2,Z2)"]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_recoded_pairs_match_a_fresh_reflection(self, spec, data):
+        canonical = parse_pair_spec(spec)
+        perm = data.draw(st.permutations(range(canonical.size)))
+        pair = ComplementaryPair(canonical.g, canonical.h, x_recode=perm)
+        first = grover_diffusion(pair)
+        assert grover_diffusion(pair) is first
+        assert first == self.fresh_reflection(pair)
 
 
 def grover_inst(rel, sigma_index=1):

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -7,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcrel import algorithms, cli, groupoids, hom_relations
 from qcrel.algorithms import DJInstance, dj_run
@@ -328,6 +332,98 @@ class TestAlgorithmCommands:
 
     def test_unknown_flag_is_input_error(self):
         assert main(["dj", "--pairA", "pair(Z2,Z2)", "--mystery"]) == 1
+
+
+def parse_outcome(parser, argv):
+    """What ``parse_args`` does with argv, at a fixed terminal width: the
+    namespace on success, else (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                return ("parsed", vars(parser.parse_args(argv)))
+            except SystemExit as exc:
+                return ("exited", exc.code, out.getvalue(), err.getvalue())
+
+
+def verb_parsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+VERBS = ["verify-structure", "enumerate", "check-relation", "dj", "grover", "homid"]
+FLAGS = ["--groupoid", "--from", "--to", "--budget", "--rel", "--pairA", "--pairS", "--pairB",
+         "--oracle", "--sigma", "--recodeA", "--recodeS", "--recodeB", "--unchecked", "--json",
+         "-h", "--help", "--js", "--pa", "--b", "--budget=7", "--json=1"]
+VALUES = ["Z2", "Z2^2", "pair(Z2,Z2)", "3", "x", "f.json", "0,1,2,3", "--", "-1", "-", "bogus"]
+
+
+class TestParserPerVerb:
+    """The parser ``main`` builds attaches only the named verbs' arguments; it
+    must parse every argv as the parser with every verb's arguments does."""
+
+    def assert_same(self, argv):
+        full = parse_outcome(cli._build_parser(), argv)
+        assert parse_outcome(cli._build_parser(argv), argv) == full
+        return full
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], *([verb, "--help"] for verb in VERBS), ["-h", "dj"], [], ["bogus"],
+        ["dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)", "--oracle", "f.json", "extra"],
+        ["--", "dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)", "--oracle", "f.json"],
+        ["grover", "--pairS", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)", "--oracle", "f.json"],
+        ["enumerate", "--from", "Z2", "--to", "Z2", "--budget", "x"],
+        ["enumerate", "--from", "Z2", "--to", "Z2", "--js"],
+    ])
+    def test_fixed_cases(self, argv):
+        self.assert_same(argv)
+
+    def test_fixed_cases_reach_every_outcome(self):
+        assert self.assert_same(["dj", "--help"])[:2] == ("exited", 0)
+        assert self.assert_same(["bogus"])[:2] == ("exited", 2)
+        assert self.assert_same(["enumerate", "--from", "Z2", "--to", "Z2", "--js"]) == (
+            "parsed", {"verb": "enumerate", "source": "Z2", "target": "Z2",
+                       "budget": 1 << 16, "json": True})
+
+    @given(st.lists(st.sampled_from(VERBS + FLAGS + VALUES), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_any_argv(self, argv):
+        self.assert_same(argv)
+
+    def test_enumerate_builds_only_its_arguments(self):
+        parsers = verb_parsers(cli._build_parser(["enumerate", "--from", "Z2", "--to", "Z2"]))
+        assert list(parsers) == VERBS
+        for verb, p in parsers.items():
+            flags = [a.option_strings for a in p._actions]
+            if verb == "enumerate":
+                assert flags == [["-h", "--help"], ["--from"], ["--to"], ["--budget"], ["--json"]]
+            else:
+                assert flags == [["-h", "--help"]]
+
+
+class TestSysArgv:
+    """``main()`` reads ``sys.argv``: a process prints what in-process
+    ``main([...])`` prints, byte for byte, with the same exit code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["dj", "--help"], ["enumerate", "--from", "Z2", "--to", "Z2", "--json"],
+    ])
+    def test_process_matches_in_process(self, argv, capsysbinary, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv)
+        captured = capsysbinary.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "qcrel.cli", *argv], capture_output=True,
+                              env={**os.environ, "COLUMNS": "80"})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["enumerate", "--from", "Z2", "--to", "Z2", "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["qcrel", *argv])
+        assert main() == 0
+        assert capsys.readouterr() == expected
 
 
 class TestReportGoldens:

@@ -33,6 +33,10 @@ def rel(dom, cod, pairs):
     return FinRel(dom, cod, pairs)
 
 
+def refuse_size(dom, cod):
+    raise ValueError(f"size {dom}->{cod} refused")
+
+
 @st.composite
 def relations(draw, max_size=4, dom=None, cod=None):
     n = dom if dom is not None else draw(st.integers(1, max_size))
@@ -378,6 +382,44 @@ class TestValuesAndJson:
     def test_deeply_nested_json_is_schema_violation(self):
         with pytest.raises(ValueError, match="schema violation"):
             FinRel.from_json("[" * 200000 + "]" * 200000)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=80)
+    def test_json_dict_builds_the_validated_relation(self, dom, cod, data):
+        cells = [[a, b] for a in range(dom) for b in range(cod)]
+        pairs = data.draw(st.lists(st.sampled_from(cells), unique_by=tuple))
+        r = FinRel.from_json_dict({"dom": dom, "cod": cod, "pairs": pairs})
+        assert r == FinRel(dom, cod, [tuple(p) for p in pairs])
+        TestTrustedConstruction.revalidates(r)
+
+    # Each error case and its message, in the order the checks run: schema,
+    # duplicate, out-of-range, the caller's size check, non-positive sizes.
+    @pytest.mark.parametrize("payload, check_sizes, message", [
+        ([], None, "schema violation: expected keys dom, cod, pairs"),
+        ({"dom": 1, "cod": 1}, None, "schema violation: expected keys dom, cod, pairs"),
+        ({"dom": "1", "cod": 1, "pairs": []}, None,
+         "schema violation: dom/cod must be integers and pairs a list"),
+        ({"dom": 1, "cod": 1, "pairs": {}}, None,
+         "schema violation: dom/cod must be integers and pairs a list"),
+        ({"dom": 2, "cod": 2, "pairs": [[0, 0], [0]]}, None,
+         "schema violation: malformed pair [0]"),
+        ({"dom": 2, "cod": 2, "pairs": [[0, 0], [0, 0], [5, 0]]}, refuse_size,
+         "duplicate pair [0, 0]"),
+        ({"dom": 2, "cod": 2, "pairs": [[5, 0], [5, 0]]}, refuse_size,
+         "out-of-range pair [5, 0] for a 2->2 relation"),
+        ({"dom": 2, "cod": 2, "pairs": [[0, 1], [1, 0], [0, 0]]}, refuse_size,
+         "size 2->2 refused"),
+        ({"dom": 0, "cod": 2, "pairs": [[0, 0]]}, refuse_size,
+         "out-of-range pair [0, 0] for a 0->2 relation"),
+        ({"dom": 0, "cod": 2, "pairs": []}, refuse_size,
+         "relation sizes must be positive, got 0->2"),
+        ({"dom": 3, "cod": -1, "pairs": []}, None,
+         "relation sizes must be positive, got 3->-1"),
+    ])
+    def test_json_dict_error_messages(self, payload, check_sizes, message):
+        with pytest.raises(ValueError) as exc:
+            FinRel.from_json_dict(payload, check_sizes)
+        assert str(exc.value) == message
 
     def test_json_pairs_sorted(self):
         r = rel(3, 3, [(2, 1), (0, 0), (1, 2)])
