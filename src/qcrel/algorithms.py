@@ -16,7 +16,6 @@ the two differ (see the diagnostics fields and README notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .groupoids import ComplementaryPair, _ControlledBlocks, fourier_rel
@@ -25,6 +24,7 @@ from .relations import (
     FinRel,
     Scalar,
     StateVec,
+    _frozen,
     _then_tensor,
     born_scalar,
     converse,
@@ -38,7 +38,7 @@ NEITHER = "neither"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
+@_frozen(factories={"composites": dict})
 class RunReport:
     """Outcome of one algorithm run: decision, possible outcomes, diagnostics."""
 
@@ -48,7 +48,7 @@ class RunReport:
     possible_outcomes: tuple[StateVec, ...]
     scalars: dict[str, bool]
     diagnostics: dict
-    composites: dict[str, FinRel] = field(default_factory=dict)
+    composites: dict[str, FinRel]  # a fresh dict by default
     queries: int = 1
 
     def to_json_dict(self) -> dict:
@@ -132,7 +132,7 @@ def _post_select(state: FinRel, effects: list[StateVec], m: int) -> list[FinRel]
         for by_x in grouped)) for rho in effects]
 
 
-@dataclass(frozen=True)
+@_frozen
 class DJInstance:
     """A promise-problem instance: complementary pairs on both systems and a
     classical blackbox relation between their Z-bases."""
@@ -300,7 +300,7 @@ def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class GroverInstance:
     """Single-step search instance: the indicator relation marks elements of
     the search system by where they land in the second system's Z-basis."""
@@ -352,7 +352,7 @@ def grover_run(inst: GroverInstance) -> RunReport:
                           diffusion=grover_diffusion(inst.pair_s))
 
 
-@dataclass(frozen=True)
+@_frozen
 class HomIDInstance:
     """Homomorphism-identification instance: a classical relation between the
     Z-bases of the two systems (an isomorphism in the headline case, but any

@@ -24,7 +24,6 @@ without any table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
 from typing import Optional, Sequence
@@ -32,6 +31,7 @@ from typing import Optional, Sequence
 from .relations import (
     FinRel,
     StateVec,
+    _frozen,
     converse,
     identity,
     is_unitary,
@@ -42,7 +42,7 @@ from .relations import (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class AbelianGroup:
     """Direct product of cyclic groups, elements coded as mixed-radix flat indices.
 
@@ -101,7 +101,7 @@ class AbelianGroup:
         return "x".join(f"Z{n}" for n in self.cyclic_orders)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Groupoid:
     """N disjoint copies of one abelian group, with partial multiplication.
 
@@ -178,7 +178,7 @@ class Groupoid:
         return group if self.copies == 1 else f"{group}^{self.copies}"
 
 
-@dataclass(frozen=True)
+@_frozen
 class LawReport:
     """Outcome of checking the five classical-structure laws."""
 
@@ -251,7 +251,7 @@ def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-@dataclass(frozen=True)
+@_frozen
 class ComplementaryPair:
     """Two groupoid bases on one underlying set, in the canonical mutually
     unbiased form: Z has |H| copies of G (blocks) and X has |G| copies of H
@@ -267,8 +267,8 @@ class ComplementaryPair:
     x: Groupoid
     x_recode: tuple[int, ...]
     canonical: bool
-    x_recode_inverse: tuple[int, ...] = field(repr=False, compare=False)
-    _complementary: bool = field(repr=False, compare=False)
+    # Also set by __init__, outside equality and the repr: x_recode_inverse,
+    # the inverse permutation, and _complementary, the verdict it computes.
 
     def __init__(self, g: AbelianGroup, h: AbelianGroup,
                  x_recode: Optional[Sequence[int]] = None) -> None:

@@ -22,14 +22,13 @@ only, and an undefined x*y has the empty image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from math import gcd, prod
 from typing import NamedTuple, Optional, Sequence
 
 from .groupoids import AbelianGroup, Groupoid
-from .relations import FinRel, tensor, then
+from .relations import FinRel, _frozen, tensor, then
 
 
 def _check_sizes(dom: int, cod: int, source: Groupoid, target: Groupoid) -> None:
@@ -39,7 +38,7 @@ def _check_sizes(dom: int, cod: int, source: Groupoid, target: Groupoid) -> None
         raise ValueError(f"relation codomain {cod} != target groupoid size {target.size}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class StructuredRel:
     """A relation together with the groupoids on its two ends."""
 

@@ -9,14 +9,12 @@ self-conjugate) f the result is always a bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groupoids import ComplementaryPair, Groupoid, _ControlledBlocks
 from .hom_relations import StructuredRel, classical_equations, is_classical_relation
-from .relations import FinRel, identity
+from .relations import FinRel, _frozen, identity
 
 
-@dataclass(frozen=True)
+@_frozen
 class OracleSpec:
     """Blackbox data: the control system's Z-basis, the target system's
     complementary pair, and the classical relation connecting their Z-bases."""

@@ -18,13 +18,24 @@ Composition order
 -----------------
 ``then(r, s)`` applies ``r`` first and ``s`` second, reading left to right
 like a pipeline; the mathematical composite "s after r" is ``then(r, s)``.
+
+Values
+------
+Every value class in the package is decorated with ``_frozen``, which gives
+it the semantics of ``@dataclass(frozen=True)``: its fields are its
+annotated names, in order; equality holds only within one class and compares
+the fields as one tuple, which is also what is hashed; assignment and
+deletion raise ``AttributeError``; and a class without its own ``__init__``
+or ``__repr__`` gets one over the fields.  It builds these methods as
+closures, not by generating code, so importing the package imports neither
+``dataclasses`` nor the ``inspect`` and ``ast`` modules it pulls in.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Tuple
 
 
@@ -32,12 +43,78 @@ Pair = Tuple[int, int]
 Row = Tuple[int, ...]
 
 
+def _frozen(cls=None, /, *, factories=None):
+    """Class decorator: frozen value semantics over the annotated fields.
+
+    An attribute that a class's own ``__init__`` sets without annotating it
+    stays out of equality, hashing and the repr.  The generated ``__init__``
+    takes the fields positionally or by keyword; a field's class attribute is
+    its default, and ``factories`` maps a field to a callable that makes a
+    fresh default for each instance.  It then calls ``__post_init__`` if the
+    class has one.  ``cached_property`` still works: it writes the instance's
+    ``__dict__`` directly.
+    """
+    if cls is None:
+        return lambda cls: _frozen(cls, factories=factories)
+    names = tuple(cls.__annotations__)
+    factories = factories or {}
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(names, args))
+        if len(args) > len(names) or not given.keys().isdisjoint(kwargs):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, each once")
+        given.update(kwargs)
+        for name in names:
+            if name in given:
+                value = given.pop(name)
+            elif name in factories:
+                value = factories[name]()
+            elif name in defaults:
+                value = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            object.__setattr__(self, name, value)
+        if given:
+            raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(given)}")
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods = [__eq__, __hash__, __setattr__, __delattr__]
+    methods += [m for m in (__init__, __repr__) if m.__name__ not in cls.__dict__]
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
 def _check_positive(dom_size: int, cod_size: int) -> None:
     if dom_size <= 0 or cod_size <= 0:
         raise ValueError(f"relation sizes must be positive, got {dom_size}->{cod_size}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class FinRel:
     """A relation between the index sets ``range(dom_size)`` and ``range(cod_size)``.
 
@@ -151,7 +228,7 @@ class FinRel:
         return f"FinRel({self.dom_size}->{self.cod_size}, {self.sorted_pairs()})"
 
 
-@dataclass(frozen=True)
+@_frozen
 class StateVec:
     """A state: a subset of ``range(space_size)``, i.e. a boolean column vector."""
 
@@ -191,7 +268,7 @@ class StateVec:
         return f"StateVec({self.space_size}, {self.sorted_members()})"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Scalar:
     """One of the two scalars: the identity (possible) or empty (impossible) relation on {*}."""
 

@@ -46,6 +46,7 @@ from qcrel.hom_relations import (
 )
 from qcrel.oracles import OracleSpec, build_oracle
 from qcrel.relations import FinRel, StateVec, is_unitary, then
+from reference import all_subsets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,13 +58,6 @@ Z4 = parse_groupoid_spec("Z4")
 
 def ok(n, message):
     print(f"ACCEPTANCE {n}: PASS - {message}")
-
-
-def all_subsets(src, tgt):
-    cells = [(a, b) for a in range(src.size) for b in range(tgt.size)]
-    size = len(cells)
-    for mask in range(1 << size):
-        yield FinRel(src.size, tgt.size, (cells[i] for i in range(size) if mask >> i & 1))
 
 
 def test_criterion_01_boolean_matrix_composition():

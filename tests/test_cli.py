@@ -241,6 +241,27 @@ class TestMemoryGuard:
         assert int(proc.stdout) < 60 * 1024
 
 
+# Imports the CLI from the source tree given as the first argument and prints
+# which of the named modules the import loaded.  Run with -S, so that site
+# and the .pth files it reads load nothing before the package does.
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import qcrel.cli
+print(sorted(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+
+class TestColdImport:
+    def test_cli_imports_neither_dataclasses_nor_inspect(self):
+        # Either module costs the CLI's every call a share of its cold start.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", IMPORT_PROBE, str(src), "dataclasses", "inspect"],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestVerificationPropertyViolated:
     """A failed internal cross-check exits 2 with one message line, not a traceback."""
 

@@ -24,12 +24,7 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, StateVec, identity, is_unitary, tensor, then
-
-
-def x_mult(pair, u, v):
-    """X's partial multiplication transported to the underlying coding."""
-    w = pair.x.mult(pair.x_recode[u], pair.x_recode[v])
-    return None if w is None else pair.x_recode_inverse[w]
+from reference import x_mult
 
 
 def x_unbiased_states(pair):

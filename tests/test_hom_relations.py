@@ -18,6 +18,7 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, converse, identity, then
+from reference import all_subsets
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,13 +29,6 @@ Z22 = parse_groupoid_spec("Z2^2")
 
 def srel(pairs, src=Z3, tgt=Z3):
     return StructuredRel(FinRel(src.size, tgt.size, pairs), src, tgt)
-
-
-def all_subsets(src, tgt):
-    cells = [(a, b) for a in range(src.size) for b in range(tgt.size)]
-    n = len(cells)
-    for mask in range(1 << n):
-        yield FinRel(src.size, tgt.size, (cells[i] for i in range(n) if mask >> i & 1))
 
 
 def reference_classical_relations(src, tgt):

@@ -18,6 +18,7 @@ from qcrel.groupoids import (
 from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
 from qcrel.oracles import OracleSpec, build_oracle
 from qcrel.relations import FinRel, empty, full, identity, is_unitary, tensor, then
+from reference import x_mult
 
 
 P21 = parse_pair_spec("pair(Z2,Z1)")
@@ -30,12 +31,6 @@ GROUPS = st.builds(AbelianGroup, st.lists(st.integers(1, 3), min_size=1, max_siz
 
 def spec_for(pair, za, rel):
     return OracleSpec(za, pair, StructuredRel(rel, za, pair.z))
-
-
-def x_mult(pair, u, v):
-    """X's partial multiplication transported to the underlying coding."""
-    w = pair.x.mult(pair.x_recode[u], pair.x_recode[v])
-    return None if w is None else pair.x_recode_inverse[w]
 
 
 def oracle_by_pieces(spec):
