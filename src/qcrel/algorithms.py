@@ -25,11 +25,10 @@ from .relations import (
     Scalar,
     StateVec,
     _frozen,
-    _then_tensor,
     born_scalar,
     converse,
-    identity,
     tensor,
+    then,
 )
 
 CONSTANT = "constant"
@@ -102,21 +101,25 @@ def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: St
     ``candidates`` are X-classical states of ``pair_in``, starting with the
     first, which is also the prepared state.  Returns the oracle, as the
     block index of f that ``build_oracle`` would expand, and one composite per
-    candidate.  No stage is built: the prepared state is pushed through each
-    one, so the composites are those of the built pipeline.  f is used
+    candidate.  No stage is built: the prepared state is pushed through the
+    oracle and the diffusion is folded into each candidate's effect, so the
+    composites are those of the built pipeline.  f is used
     unchecked because the instance has already run the classical-relation
     check it asked for.
     """
     oracle = _ControlledBlocks(pair_in.z, f.rel, pair_out.x, pair_out.x_recode)
     evolved = oracle.push(tensor(candidates[0].as_ket(), marker.as_ket()),
                           pair_out.x_recode_inverse)
+    effects = candidates
     if diffusion is not None:
-        evolved = _then_tensor(evolved, diffusion, identity(pair_out.size))
-    return oracle, _post_select(evolved, candidates, pair_out.size)
+        # Post-selecting on rho after d is post-selecting on converse(d)'s image of rho before.
+        back = converse(diffusion)
+        effects = [StateVec(pair_in.size, back.image(rho.members)) for rho in candidates]
+    return oracle, _post_select(evolved, effects, pair_out.size)
 
 
 def _post_select(state: FinRel, effects: list[StateVec], m: int) -> list[FinRel]:
-    """``_then_tensor(state, rho.as_bra(), identity(m))`` for every rho in
+    """``then(state, tensor(rho.as_bra(), identity(m)))`` for every rho in
     ``effects``, in one pass over ``state``: its targets (x, v) are grouped by
     x once, and each effect's row is the union of the groups its members hold.
     """
@@ -199,14 +202,14 @@ def dj_run(inst: DJInstance) -> RunReport:
     composites = {"pipeline": composite}
 
     if all(p.g.order == p.h.order for p in (pair_a, pair_b)):
-        ft_a, ft_b = fourier_rel(pair_a), fourier_rel(pair_b)
-        g0a = pair_a.z.classical_states()[0]
-        g1b = pair_b.z.classical_states()[1]
-        idn = identity(nb)
-        staged = _then_tensor(tensor(g0a.as_ket(), g1b.as_ket()), ft_a, ft_b)
-        staged = oracle.push(staged, pair_b.x_recode_inverse)
-        staged = _then_tensor(staged, converse(ft_a), idn)
-        staged = _then_tensor(staged, g0a.as_bra(), idn)
+        # g0a x g1b, then ft_a x ft_b, the oracle, converse(ft_a) and g0a's effect;
+        # the last two make a_state's effect, applied here apart from _post_select.
+        a_state = then(pair_a.z.classical_states()[0].as_ket(), fourier_rel(pair_a))
+        b_state = then(pair_b.z.classical_states()[1].as_ket(), fourier_rel(pair_b))
+        (pushed,) = oracle.push(tensor(a_state, b_state), pair_b.x_recode_inverse).rows
+        kept = set(a_state.rows[0])
+        staged = FinRel._trusted(1, nb, (tuple(sorted({t % nb for t in pushed
+                                                       if t // nb in kept})),))
         if staged != composite:
             raise AssertionError("basis-change pipeline disagrees with the absorbed composite")
         diagnostics["absorbed_equals_unabsorbed"] = True
@@ -235,13 +238,13 @@ def dj_run(inst: DJInstance) -> RunReport:
 
 def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
                    pair_s: ComplementaryPair, pair_b: ComplementaryPair,
-                   law_key: str, law: Callable[..., bool], allowed: bool,
+                   law_key: str, law: Callable[[StateVec], bool], allowed: bool,
                    diffusion: Optional[tuple[FinRel, bool]] = None,
                    verification: Optional[StateVec] = None) -> RunReport:
     """The candidate loop of the search and identification runners.
 
     Every X-classical state rho of ``pair_s`` gets its raw pipeline composite
-    and its outcome-law scalar ``law(inst, rho)``; rho is a decision-level
+    and its outcome-law scalar ``law(rho)``; rho is a decision-level
     outcome when that scalar equals ``allowed``.  ``diffusion`` is the
     reflection and its bijectivity flag; ``verification``, when given, is the
     state every rho is also tested against.
@@ -259,7 +262,7 @@ def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
     for i, (rho, pipeline) in enumerate(zip(candidates, pipelines)):
         composites[f"rho{i}"] = pipeline
         pipeline_possible = any(pipeline.rows)
-        value = law(inst, rho)
+        value = law(rho)
         decided = value == allowed
         scalars[f"rho{i}_composite"] = pipeline_possible
         scalars[f"rho{i}_{law_key}"] = value
@@ -333,9 +336,14 @@ def grover_zero_condition(inst: GroverInstance, rho: StateVec) -> bool:
     X_S-classical state)."""
     if rho not in inst.pair_s.x_classical_states():
         raise ValueError("rho must be a classical state of the search system's X-basis")
+    return _zero_condition(inst)(rho)
+
+
+def _zero_condition(inst: GroverInstance) -> Callable[[StateVec], bool]:
+    """``grover_zero_condition`` of any X_S-classical rho, unchecked."""
     f, sigma = inst.f.rel, inst.sigma.members
-    h0 = inst.pair_s.x_classical_states()[0]
-    return bool(f.image(rho.members) & sigma) == bool(f.image(h0.members) & sigma)
+    prepared = bool(f.image(inst.pair_s.x_classical_states()[0].members) & sigma)
+    return lambda rho: bool(f.image(rho.members) & sigma) == prepared
 
 
 def grover_run(inst: GroverInstance) -> RunReport:
@@ -348,7 +356,7 @@ def grover_run(inst: GroverInstance) -> RunReport:
     keeps an outcome possible that the law rules out.
     """
     return _candidate_run("grover", inst, inst.pair_s, inst.pair_b,
-                          "zero_condition", grover_zero_condition, False,
+                          "zero_condition", _zero_condition(inst), False,
                           diffusion=grover_diffusion(inst.pair_s))
 
 
@@ -375,8 +383,14 @@ def grouphomid_necessary(inst: HomIDInstance, rho: StateVec) -> bool:
     sigma.  Runs report an outcome only when this holds."""
     if rho not in inst.pair_g.x_classical_states():
         raise ValueError("rho must be a classical state of the first system's X-basis")
-    rows, sigma = inst.f.rel.rows, inst.sigma.members
-    return any(rows[a] for a in rho.members) and any(not sigma.isdisjoint(row) for row in rows)
+    return _witness(inst, inst.f.rel.preimage(inst.sigma.members))(rho)
+
+
+def _witness(inst: HomIDInstance, pulled_back: frozenset[int]) -> Callable[[StateVec], bool]:
+    """``grouphomid_necessary`` of any X_G-classical rho, unchecked, given
+    sigma's preimage under f (empty exactly when nothing lands in sigma)."""
+    rows = inst.f.rel.rows
+    return lambda rho: bool(pulled_back) and any(rows[a] for a in rho.members)
 
 
 def grouphomid_run(inst: HomIDInstance) -> RunReport:
@@ -389,6 +403,7 @@ def grouphomid_run(inst: HomIDInstance) -> RunReport:
     through the blackbox converse against rho); both can be strictly finer
     than the decision rule.
     """
-    pulled_back = StateVec(inst.f.rel.dom_size, inst.f.rel.preimage(inst.sigma.members))
+    pulled_back = inst.f.rel.preimage(inst.sigma.members)
     return _candidate_run("homid", inst, inst.pair_g, inst.pair_a,
-                          "witness", grouphomid_necessary, True, verification=pulled_back)
+                          "witness", _witness(inst, pulled_back), True,
+                          verification=StateVec(inst.f.rel.dom_size, pulled_back))

@@ -16,26 +16,21 @@ property violated.
 
 Each process parses a spec once: ``parse_groupoid_spec`` and
 ``parse_pair_spec`` here are bounded caches (128 specs each) of the
-``groupoids`` parsers, so repeated ``main`` calls share a pair's tables,
-X-classical states and complementarity verdict.  The cached values are frozen,
-so sharing them changes no output; a spec that fails to parse raises and is
-never cached.  A pair given an explicit recoding is built per call, over the
-cached pair's groups.
-
-Each ``main`` call builds a new parser with every verb, but only the named
-verbs' arguments: argparse picks a verb by its exact name among the argv tokens
-(no aliases, abbreviations or ``@file``), and no output shows the arguments of
-a verb that is not picked, so output is as with every verb's arguments built.
+``groupoids`` parsers over frozen values, so ``main`` calls share a pair and
+all it keeps; a failed parse is not cached, and an explicit recoding builds a
+pair per call.  Each ``main`` call builds every verb, but only the named
+verbs' arguments: argparse picks a verb by its exact name among the argv
+tokens (no aliases, abbreviations or ``@file``), and no output shows the
+arguments of a verb not picked, so output is as with every verb's built.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
-from pathlib import Path
-from typing import Optional, Sequence
 
 from .algorithms import (
     DJInstance,
@@ -62,10 +57,12 @@ parse_groupoid_spec = lru_cache(maxsize=128)(groupoids.parse_groupoid_spec)
 parse_pair_spec = lru_cache(maxsize=128)(groupoids.parse_pair_spec)
 
 
-def parse_relation_file(path: str | Path, source: Groupoid, target: Groupoid) -> StructuredRel:
+def parse_relation_file(path: str | os.PathLike, source: Groupoid, target: Groupoid) -> StructuredRel:
     """Load a relation between two groupoids from the JSON interchange format,
     with validation; its sizes are checked before any of it is built."""
-    return StructuredRel.from_json(Path(path).read_text(encoding="utf-8"), source, target)
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
+    return StructuredRel.from_json(text, source, target)
 
 
 def emit_report(report: RunReport, mode: str = "human") -> str:
@@ -96,7 +93,7 @@ def emit_report(report: RunReport, mode: str = "human") -> str:
     return "\n".join(lines)
 
 
-def _parse_pair_argument(spec: str, recode: Optional[str]) -> ComplementaryPair:
+def _parse_pair_argument(spec: str, recode: str | None) -> ComplementaryPair:
     pair = parse_pair_spec(spec)
     if recode is None:
         return pair
@@ -143,7 +140,7 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
     p.add_argument("--json", action="store_true")
 
 
-def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """Every verb, with the arguments of those named in ``argv`` (all if None)."""
     parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -223,7 +220,7 @@ _VERBS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _build_parser(argv).parse_args(argv)

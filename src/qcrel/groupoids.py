@@ -317,6 +317,11 @@ class ComplementaryPair:
             self.size, self.size, ((a, b) for a in h0 for b in h0)))
         return d, is_unitary(d)
 
+    @cached_property
+    def _fourier(self) -> FinRel:
+        """``fourier_rel``, built once per pair."""
+        return FinRel._trusted(self.size, self.size, tuple((u,) for u in self.x_recode_inverse))
+
     def is_complementary_pair(self) -> bool:
         """Whether the two bases are complementary under ``x_recode``: the
         verdict ``is_complementary`` gave once, at construction.  It always
@@ -429,14 +434,14 @@ def fourier_rel(pair: ComplementaryPair) -> FinRel:
     is an involution only for the canonical recoding, so measure through its
     converse.  Pairs with |G| != |H| have no such bijection; prepare and
     measure X-classical states directly instead (the absorbed form the
-    algorithm runners use).
+    algorithm runners use).  Each pair builds its bijection once and keeps it.
     """
     if pair.g.order != pair.h.order:
         raise ValueError(
             f"no basis-change bijection for {pair.spec()}: "
             "|G| != |H|; use absorbed preparation/measurement instead"
         )
-    return FinRel._trusted(pair.size, pair.size, tuple((u,) for u in pair.x_recode_inverse))
+    return pair._fourier
 
 
 _GROUPOID_SPEC = re.compile(r"^(Z\d+)(xZ\d+)*(\^\d+)?$")

@@ -176,7 +176,7 @@ class FinRel:
 
     def to_json_dict(self) -> dict:
         return {"dom": self.dom_size, "cod": self.cod_size,
-                "pairs": [list(p) for p in self.sorted_pairs()]}
+                "pairs": [[a, b] for a, row in enumerate(self.rows) for b in row]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -193,25 +193,32 @@ class FinRel:
         # ``type(...) is int``: JSON true/false load as bool, an int subclass.
         if type(dom) is not int or type(cod) is not int or not isinstance(pairs, list):
             raise ValueError("schema violation: dom/cod must be integers and pairs a list")
-        seen = set()
+        # A repeat follows an in-range copy, so the range may be tested first.
+        # A pair (a, b) is kept as its cell a * cod + b.
+        seen: set[int] = set()
         for p in pairs:
-            if (not isinstance(p, list)) or len(p) != 2 or not all(type(x) is int for x in p):
+            if (not isinstance(p, list) or len(p) != 2
+                    or type(p[0]) is not int or type(p[1]) is not int):
                 raise ValueError(f"schema violation: malformed pair {p!r}")
-            key = (p[0], p[1])
-            if key in seen:
-                raise ValueError(f"duplicate pair {p!r}")
-            seen.add(key)
-            if not (0 <= p[0] < dom and 0 <= p[1] < cod):
+            a, b = p
+            if not (0 <= a < dom and 0 <= b < cod):
                 raise ValueError(f"out-of-range pair {p!r} for a {dom}->{cod} relation")
+            cell = a * cod + b
+            if cell in seen:
+                raise ValueError(f"duplicate pair {p!r}")
+            seen.add(cell)
         # Sizes that are not positive get their own message, after the size check.
         if check_sizes is not None and dom > 0 and cod > 0:
             check_sizes(dom, cod)
         _check_positive(dom, cod)
-        successors: dict[int, list[int]] = {}
-        for a, b in seen:
-            successors.setdefault(a, []).append(b)
-        return cls._trusted(dom, cod, tuple(
-            tuple(sorted(successors[a])) if a in successors else () for a in range(dom)))
+        rows: list = [()] * dom  # a list only where a source has targets
+        for cell in sorted(seen):
+            a = cell // cod
+            if rows[a]:
+                rows[a].append(cell % cod)
+            else:
+                rows[a] = [cell % cod]
+        return cls._trusted(dom, cod, tuple(map(tuple, rows)))
 
     @classmethod
     def from_json(cls, text: str,
@@ -346,28 +353,6 @@ def tensor(r: FinRel, s: FinRel) -> FinRel:
             for u, s_row in filled:
                 rows[x * m + u] = tuple([o + v for o in offsets for v in s_row])
     return FinRel._trusted(r.dom_size * m, r.cod_size * n, tuple(rows))
-
-
-def _then_tensor(state: FinRel, r: FinRel, s: FinRel) -> FinRel:
-    """``then(state, tensor(r, s))`` without building the tensor: each row is
-    pushed through s and r factor by factor, reading only the rows it reaches.
-    """
-    m, n = s.dom_size, s.cod_size
-    if state.cod_size != r.dom_size * m:
-        raise ValueError(
-            f"cannot compose {state.dom_size}->{state.cod_size} with "
-            f"{r.dom_size * m}->{r.cod_size * n}: middle sizes differ"
-        )
-    rows: list[Row] = []
-    for row in state.rows:
-        # The successors in s of the sources with first factor x, by x.
-        reached: dict[int, set[int]] = {}
-        for a in row:
-            x, u = divmod(a, m)
-            reached.setdefault(x, set()).update(s.rows[u])
-        targets = {y * n + v for x, vs in reached.items() for y in r.rows[x] for v in vs}
-        rows.append(tuple(sorted(targets)))
-    return FinRel._trusted(state.dom_size, r.cod_size * n, tuple(rows))
 
 
 def symmetric_difference(r: FinRel, s: FinRel) -> FinRel:

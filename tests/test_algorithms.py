@@ -32,7 +32,6 @@ from qcrel.oracles import OracleSpec, build_oracle
 from qcrel.relations import (
     FinRel,
     StateVec,
-    _then_tensor,
     converse,
     empty,
     full,
@@ -438,7 +437,7 @@ class TestPushedPipelineMatchesBuiltReference:
 # tensored with the identity, applied to the whole state.
 
 def reference_post_select(state, effects, m):
-    return [_then_tensor(state, rho.as_bra(), identity(m)) for rho in effects]
+    return [then(state, tensor(rho.as_bra(), identity(m))) for rho in effects]
 
 
 class TestOnePassPostSelection:

@@ -261,6 +261,30 @@ class TestColdImport:
             capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
+    def test_cli_does_not_import_pathlib(self):
+        # Without site, nothing else loads pathlib: the relation file is read
+        # with open().
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, str(src), "pathlib"],
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+class TestUnreadableRelationFile:
+    """An unreadable relation file exits 1 with the operating system's message."""
+
+    def test_missing_oracle(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["dj", "--pairA", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)",
+                     "--oracle", path]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 2] No such file or directory: {path!r}\n")
+
+    def test_directory_as_rel(self, tmp_path, capsys):
+        assert main(["check-relation", "--from", "Z2", "--to", "Z2",
+                     "--rel", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
 
 class TestVerificationPropertyViolated:
     """A failed internal cross-check exits 2 with one message line, not a traceback."""

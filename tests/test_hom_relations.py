@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from qcrel.groupoids import parse_groupoid_spec
+from qcrel.groupoids import AbelianGroup, parse_groupoid_spec
 from qcrel.hom_relations import (
     StructuredRel,
+    _is_homomorphism,
     classical_equations,
     enumerate_classical_relations,
     is_classical_relation,
@@ -18,7 +19,7 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, converse, identity, then
-from reference import all_subsets
+from reference import all_subsets, hom_table, is_homomorphism
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -346,3 +347,53 @@ def test_structural_check_equals_equations_on_members_and_mutants(a, b, data):
     for pairs in (rel.pairs, rel.pairs ^ {flip}):
         s = StructuredRel(FinRel(src.size, tgt.size, pairs), src, tgt)
         assert is_classical_relation(s) == all(classical_equations(s)), sorted(pairs)
+
+
+CYCLIC_ORDERS = st.lists(st.integers(1, 6), min_size=1, max_size=3)
+
+
+@st.composite
+def tables_fixing_zero(draw):
+    """Groups H and G of 1-3 cyclic factors of order 1-6, and a table H -> G
+    with phi(0) = 0: a homomorphism, or one with some values moved."""
+    h = AbelianGroup(draw(CYCLIC_ORDERS))
+    g = AbelianGroup(draw(CYCLIC_ORDERS))
+    # Generator i may go to any element whose j-th coordinate is a multiple
+    # of g_j / gcd(h_i, g_j).
+    images = [[draw(st.integers(0, gcd(hi, gj) - 1)) * (gj // gcd(hi, gj))
+               for gj in g.cyclic_orders] for hi in h.cyclic_orders]
+    phi = list(hom_table(h, g, images))
+    if h.order > 1 and draw(st.booleans()):
+        for x in draw(st.lists(st.integers(1, h.order - 1), min_size=1, max_size=3)):
+            phi[x] = draw(st.integers(0, g.order - 1))
+    return tuple(phi), h, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_fixing_zero())
+def test_generator_recurrence_equals_coordinate_sum_test(case):
+    """The homomorphism test by the generator recurrence against the additive
+    extension of the generators' images."""
+    phi, h, g = case
+    assert _is_homomorphism(phi, h, g) == is_homomorphism(phi, h, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["Z4", "Z6", "Z2xZ2", "Z2xZ3", "Z2xZ4"]), st.integers(1, 2),
+       st.integers(1, 2), st.data())
+def test_structural_check_equals_equations_on_permuted_copies(group, copies_a, copies_b, data):
+    """A census member with one source copy's table replaced by a permutation
+    of H that fixes 0: total and single-valued, and most often not a
+    homomorphism, which is the branch a one-pair flip almost never reaches."""
+    src = parse_groupoid_spec(f"{group}^{copies_a}")
+    tgt = parse_groupoid_spec(f"{group}^{copies_b}")
+    n = src.base.order
+    rel = data.draw(st.sampled_from(enumerate_classical_relations(src, tgt)))
+    i, j = data.draw(st.integers(0, copies_a - 1)), data.draw(st.integers(0, copies_b - 1))
+    phi = [0] + data.draw(st.permutations(range(1, n)))
+    rows = list(rel.rows)
+    rows[i * n:(i + 1) * n] = [()] * n
+    pairs = [(a, b) for a, row in enumerate(rows) for b in row]
+    pairs += [(i * n + phi[y], j * n + y) for y in range(n)]
+    s = StructuredRel(FinRel(src.size, tgt.size, pairs), src, tgt)
+    assert is_classical_relation(s) == all(classical_equations(s)), sorted(pairs)

@@ -6,7 +6,6 @@ from qcrel.relations import (
     FinRel,
     Scalar,
     StateVec,
-    _then_tensor,
     as_bool_matrix,
     born_scalar,
     converse,
@@ -19,6 +18,7 @@ from qcrel.relations import (
     tensor,
     then,
 )
+from reference import finrel_from_json_dict
 
 
 def is_unitary_by_composition(r):
@@ -137,18 +137,6 @@ class TestRowsMatchPairSetReference:
     def test_image_and_preimage(self, r, indices):
         assert r.image(indices) == reference_image(r, indices)
         assert r.preimage(indices) == reference_preimage(r, indices)
-
-    @given(any_relations, any_relations, st.data())
-    @settings(max_examples=200)
-    def test_then_tensor_pushes_without_building(self, r, s, data):
-        # One-row states (kets) and a few multi-row ones, on the tensor's domain.
-        dom = data.draw(st.sampled_from([1, 1, 2, 3]))
-        state = data.draw(relations(dom=dom, cod=r.dom_size * s.dom_size))
-        same_relation(_then_tensor(state, r, s), then(state, tensor(r, s)))
-
-    def test_then_tensor_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="middle sizes"):
-            _then_tensor(rel(1, 3, []), rel(2, 2, []), rel(2, 2, []))
 
     def test_rows_are_sorted_and_empty_rows_kept(self):
         r = FinRel(4, 3, [(2, 2), (0, 1), (2, 0), (0, 1)])
@@ -420,6 +408,40 @@ class TestValuesAndJson:
         with pytest.raises(ValueError) as exc:
             FinRel.from_json_dict(payload, check_sizes)
         assert str(exc.value) == message
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_json_dict_equals_reference_loop(self, data):
+        """The same relation, or the same error text, as the schema loop with
+        one check per clause, on payloads with any mix of faults."""
+        dom = data.draw(st.sampled_from([1, 2, 3, 4, 0, -1, True]))
+        cod = data.draw(st.sampled_from([1, 2, 3, 4, 0, -1]))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, max(dom, 1) - 1),
+                                             st.integers(0, max(cod, 1) - 1)).map(list),
+                                   max_size=8, unique_by=tuple))
+        fault = st.one_of(
+            st.lists(st.integers(-1, 5), min_size=2, max_size=2),  # often out of range
+            st.lists(st.integers(0, 3), max_size=3),  # often the wrong length
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),  # not a list
+            st.lists(st.one_of(st.integers(0, 3), st.booleans(), st.sampled_from([0.0, 1.5])),
+                     min_size=2, max_size=2),
+            st.integers(0, 3), st.just("01"), st.just({"0": 1}), st.none())
+        shaped = list(pairs)
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(pairs)))
+            if shaped and data.draw(st.booleans()):
+                pairs.insert(at, list(data.draw(st.sampled_from(shaped))))  # a repeat
+            else:
+                pairs.insert(at, data.draw(fault))
+        payload = {"dom": dom, "cod": cod, "pairs": pairs}
+        check_sizes = data.draw(st.sampled_from([None, refuse_size]))
+        outcomes = []
+        for decode in (FinRel.from_json_dict, finrel_from_json_dict):
+            try:
+                outcomes.append(decode(payload, check_sizes))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_json_pairs_sorted(self):
         r = rel(3, 3, [(2, 1), (0, 0), (1, 2)])
