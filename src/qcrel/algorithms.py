@@ -16,7 +16,7 @@ the two differ (see the diagnostics fields and README notes).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .groupoids import ComplementaryPair, _ControlledBlocks, fourier_rel
 from .hom_relations import StructuredRel, is_classical_relation
@@ -26,7 +26,6 @@ from .relations import (
     StateVec,
     _frozen,
     born_scalar,
-    converse,
     tensor,
     then,
 )
@@ -80,7 +79,7 @@ def _validate(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: Struct
         raise ValueError(f"{role} must land in the second system's Z-basis")
     if sigma is None and pair_out.g.order < 2:
         raise ValueError("second system's X-basis needs at least two classical states")
-    if sigma is not None and sigma not in pair_out.x_classical_states():
+    if sigma is not None and sigma not in pair_out._x_classical_set:
         raise ValueError("sigma must be a classical state of the second system's X-basis")
     for pair, name in ((pair_in, first), (pair_out, "second system's")):
         if not pair.is_complementary_pair():
@@ -90,31 +89,23 @@ def _validate(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: Struct
 
 
 def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: StructuredRel,
-                  marker: StateVec, candidates: list[StateVec],
-                  diffusion: Optional[FinRel] = None
+                  marker: StateVec, effects: Sequence[StateVec]
                   ) -> tuple[_ControlledBlocks, list[FinRel]]:
     """The pipeline all three runners share: prepare (first X-classical state
-    of ``pair_in``) x ``marker``, query the oracle once, apply ``diffusion`` to
-    the first system if given, and post-select the first system on each
-    candidate's effect.
+    of ``pair_in``) x ``marker``, query the oracle once, and post-select the
+    first system on each effect.
 
-    ``candidates`` are X-classical states of ``pair_in``, starting with the
-    first, which is also the prepared state.  Returns the oracle, as the
-    block index of f that ``build_oracle`` would expand, and one composite per
-    candidate.  No stage is built: the prepared state is pushed through the
-    oracle and the diffusion is folded into each candidate's effect, so the
-    composites are those of the built pipeline.  f is used
-    unchecked because the instance has already run the classical-relation
-    check it asked for.
+    ``effects`` are X-classical states of ``pair_in``, or for the search the
+    pair's ``_reflected_effects``: the reflection folded into each candidate's
+    effect.  Returns the oracle, as the block index of f that ``build_oracle``
+    would expand, and one composite per effect.  No stage is built: the
+    prepared state is pushed through the oracle, so the composites are those
+    of the built pipeline.  f is used unchecked because the instance has
+    already run the classical-relation check it asked for.
     """
     oracle = _ControlledBlocks(pair_in.z, f.rel, pair_out.x, pair_out.x_recode)
-    evolved = oracle.push(tensor(candidates[0].as_ket(), marker.as_ket()),
-                          pair_out.x_recode_inverse)
-    effects = candidates
-    if diffusion is not None:
-        # Post-selecting on rho after d is post-selecting on converse(d)'s image of rho before.
-        back = converse(diffusion)
-        effects = [StateVec(pair_in.size, back.image(rho.members)) for rho in candidates]
+    prepared = pair_in.x_classical_states()[0]
+    evolved = oracle.push(tensor(prepared.as_ket(), marker.as_ket()), pair_out.x_recode_inverse)
     return oracle, _post_select(evolved, effects, pair_out.size)
 
 
@@ -239,19 +230,20 @@ def dj_run(inst: DJInstance) -> RunReport:
 def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
                    pair_s: ComplementaryPair, pair_b: ComplementaryPair,
                    law_key: str, law: Callable[[StateVec], bool], allowed: bool,
-                   diffusion: Optional[tuple[FinRel, bool]] = None,
+                   diffusion_unitary: Optional[bool] = None,
                    verification: Optional[StateVec] = None) -> RunReport:
     """The candidate loop of the search and identification runners.
 
     Every X-classical state rho of ``pair_s`` gets its raw pipeline composite
     and its outcome-law scalar ``law(rho)``; rho is a decision-level
-    outcome when that scalar equals ``allowed``.  ``diffusion`` is the
-    reflection and its bijectivity flag; ``verification``, when given, is the
-    state every rho is also tested against.
+    outcome when that scalar equals ``allowed``.  ``diffusion_unitary``, when
+    given, is the bijectivity flag of the reflection the search applies before
+    post-selection; ``verification``, when given, is the state every rho is
+    also tested against.
     """
-    d, d_unitary = diffusion if diffusion is not None else (None, None)
     candidates = pair_s.x_classical_states()
-    oracle, pipelines = _single_query(pair_s, pair_b, inst.f, inst.sigma, candidates, d)
+    effects = candidates if diffusion_unitary is None else pair_s._reflected_effects
+    oracle, pipelines = _single_query(pair_s, pair_b, inst.f, inst.sigma, effects)
 
     scalars: dict[str, bool] = {}
     composites: dict[str, FinRel] = {}
@@ -279,11 +271,11 @@ def _candidate_run(algorithm: str, inst: GroverInstance | HomIDInstance,
 
     oracle_unitary = oracle.bijective()
     diagnostics = {
-        "diffusion_unitary": d_unitary,
+        "diffusion_unitary": diffusion_unitary,
         "oracle_unitary": oracle_unitary,
         "composite_possible_outcomes": composite_outcomes,
         "composite_agrees_with_decision": agreement,
-        "physical_evolution": oracle_unitary and (diffusion is None or d_unitary),
+        "physical_evolution": oracle_unitary and (diffusion_unitary is None or diffusion_unitary),
     }
     if verification is not None:
         diagnostics["verification_possible_outcomes"] = verification_outcomes
@@ -334,7 +326,7 @@ def grover_zero_condition(inst: GroverInstance, rho: StateVec) -> bool:
     """Whether the output at ``rho`` must vanish: the sigma-overlap scalar of
     f applied to rho equals the one for the prepared state (the first
     X_S-classical state)."""
-    if rho not in inst.pair_s.x_classical_states():
+    if rho not in inst.pair_s._x_classical_set:
         raise ValueError("rho must be a classical state of the search system's X-basis")
     return _zero_condition(inst)(rho)
 
@@ -357,7 +349,7 @@ def grover_run(inst: GroverInstance) -> RunReport:
     """
     return _candidate_run("grover", inst, inst.pair_s, inst.pair_b,
                           "zero_condition", _zero_condition(inst), False,
-                          diffusion=grover_diffusion(inst.pair_s))
+                          diffusion_unitary=grover_diffusion(inst.pair_s)[1])
 
 
 @_frozen
@@ -381,7 +373,7 @@ def grouphomid_necessary(inst: HomIDInstance, rho: StateVec) -> bool:
     """Witness-pair condition for ``rho`` to be a reportable outcome: the
     blackbox must relate something in rho, and must relate something into
     sigma.  Runs report an outcome only when this holds."""
-    if rho not in inst.pair_g.x_classical_states():
+    if rho not in inst.pair_g._x_classical_set:
         raise ValueError("rho must be a classical state of the first system's X-basis")
     return _witness(inst, inst.f.rel.preimage(inst.sigma.members))(rho)
 

@@ -30,7 +30,7 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algorithms import (
     DJInstance,
@@ -141,11 +141,19 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
 
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Every verb, with the arguments of those named in ``argv`` (all if None)."""
-    parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0])
+    """Every verb, with the arguments of those named in ``argv`` (all if None).
+
+    The terminal is asked for its width once: argparse's stock formatter
+    asks again for each of the dozen or so formatters a build makes, and
+    ``columns - 2`` is the width it would compute itself."""
+    import shutil
+
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0],
+                                     formatter_class=formatter)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (help_text, _) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
+        p = sub.add_parser(verb, help=help_text, formatter_class=formatter)
         if argv is None or verb in argv:
             _add_arguments(p, verb)
     return parser
@@ -158,8 +166,18 @@ def _sigma_state(pair: ComplementaryPair, index: int):
     return states[index]
 
 
+# The most rows ``verify-structure`` builds: Z128 fits (2.1 million rows).
+_LAW_ROWS_LIMIT = 1 << 22
+
+
 def _cmd_verify_structure(args) -> int:
     z = parse_groupoid_spec(args.groupoid)
+    # The multiplication's n^2 rows, and |G|^3 for the laws of the one distinct
+    # copy: every copy of a groupoid restricts to the same group.
+    rows = z.size ** 2 + z.base.order ** 3
+    if rows > _LAW_ROWS_LIMIT:
+        raise ValueError(f"groupoid {z.spec()} is too large to check: its laws take {rows} "
+                         f"rows, above the limit of {_LAW_ROWS_LIMIT}")
     report = verify_classical_structure(z)
     if args.json:
         print(json.dumps({"groupoid": z.spec(), "laws": report.as_dict(),

@@ -231,8 +231,65 @@ def check_structure_laws(mult: FinRel, unit: StateVec) -> LawReport:
 
 
 def verify_classical_structure(z: Groupoid) -> LawReport:
-    """Check that the groupoid's multiplication and unit form a classical structure."""
-    return check_structure_laws(z.mult_rel, z.unit_state())
+    """Check that the groupoid's multiplication and unit form a classical
+    structure: ``check_structure_laws`` once per distinct copy, in
+    O(n^2 + |G|^3) rows instead of the full composites' O(n^3).
+
+    A groupoid is the direct sum of its copies (Heunen-Contreras-Cattaneo,
+    arXiv:1112.1284), and so are the two sides of every law.  Proof.  Let
+    the multiplication M relate only pairs (a, b) within one copy K, into K,
+    and write M_K and u_K for the restrictions of M and of the unit u to K.
+    Each side of a law relates x to y only through a chain of M-steps, and
+    every M-step stays in one copy, so every element of x and y lies in one
+    copy K.  Coassociative: a -> (d, e, c) with b.c = a and d.e = b.
+    Frobenius: (a, b) -> (e, d) with c.d = b and a.c = e, or its mirror.
+    Special: a -> d with b.c = a and b.c = d.  Counital: a -> c with
+    b.c = a for some b in u; such a b lies in a's copy, so in u_K, and the
+    units of the other copies contribute nothing.  Symmetric: the state of
+    the (b, c) with b.c in u, swapped or not; b.c in u lies in b's copy, so
+    in u_K.  The identity is also a union of per-copy pieces.  So each side
+    is the disjoint union over K of that side built from (M_K, u_K), on
+    K's elements only; two such unions are equal iff they are equal piece
+    by piece, and shifting K to [0, |G|) preserves equality.  A law holds
+    iff it holds on every restriction, and equal restrictions give equal
+    verdicts.  A one-copy groupoid goes to the full composites directly.
+    """
+    return _check_laws_by_copy(z.mult_rel, z.unit_state(), z.base.order)
+
+
+def _check_laws_by_copy(mult: FinRel, unit: StateVec, m: int) -> LawReport:
+    """``check_structure_laws(mult, unit)`` by the copies of size ``m``, as
+    ``verify_classical_structure`` proves it; a relation of one copy, or one
+    with a product outside the copies, goes to the full composites."""
+    n, rows = mult.cod_size, mult.rows
+    if not (m < n and n % m == 0 and mult.dom_size == n * n and unit.space_size == n
+            and _block_diagonal(rows, n, m)):
+        return check_structure_laws(mult, unit)
+    units: dict[int, list[int]] = {}
+    for e in unit.members:
+        units.setdefault(e // m, []).append(e % m)
+    restrictions = {
+        (tuple(tuple(c - lo for c in row) for x in range(lo, lo + m)
+               for row in rows[x * n + lo:x * n + lo + m]),
+         frozenset(units.get(lo // m, ())))
+        for lo in range(0, n, m)}
+    reports = [check_structure_laws(FinRel._trusted(m * m, m, block), StateVec(m, members))
+               for block, members in restrictions]
+    return LawReport(*map(all, zip(*(r.as_dict().values() for r in reports))))
+
+
+def _block_diagonal(rows: Sequence[tuple[int, ...]], n: int, m: int) -> bool:
+    """Whether the n^2 rows of a multiplication relate only pairs within one
+    copy of size m, into that copy: outside the copies' blocks every row is
+    empty, and inside each block every sorted row lands in the block's copy."""
+    for a in range(n):
+        lo, start = a - a % m, a * n
+        if any(rows[start:start + lo]) or any(rows[start + lo + m:start + n]):
+            return False
+        if any(row and (row[0] < lo or row[-1] >= lo + m)
+               for row in rows[start + lo:start + lo + m]):
+            return False
+    return True
 
 
 def _canonical_recode(g_order: int, h_order: int) -> tuple[int, ...]:
@@ -310,12 +367,26 @@ class ComplementaryPair:
                      for s in self.x.classical_states())
 
     @cached_property
+    def _x_classical_set(self) -> frozenset[StateVec]:
+        """The X-classical states as a set, for membership tests."""
+        return frozenset(self._x_classical_states)
+
+    @cached_property
     def _h0_reflection(self) -> tuple[FinRel, bool]:
         """``algorithms.grover_diffusion``, built once per pair."""
         h0 = self._x_classical_states[0].members
         d = symmetric_difference(identity(self.size), FinRel(
             self.size, self.size, ((a, b) for a in h0 for b in h0)))
         return d, is_unitary(d)
+
+    @cached_property
+    def _reflected_effects(self) -> tuple[StateVec, ...]:
+        """Each X-classical effect folded back through the reflection d:
+        post-selecting on rho after d is post-selecting on converse(d)'s image
+        of rho before.  Built once per pair."""
+        back = converse(self._h0_reflection[0])
+        return tuple(StateVec(self.size, back.image(rho.members))
+                     for rho in self._x_classical_states)
 
     @cached_property
     def _fourier(self) -> FinRel:

@@ -62,24 +62,34 @@ def _frozen(cls=None, /, *, factories=None):
     get = attrgetter(*names)
     fields = get if len(names) > 1 else lambda self: (get(self),)
     post_init = hasattr(cls, "__post_init__")
+    # The fields a call may still name by keyword after k positional arguments.
+    tails = [frozenset(names[k:]) for k in range(len(names) + 1)]
+
+    def fill(values, kwargs, k):
+        """Give each field after the first k that ``kwargs`` lacks its default."""
+        for name in names[k:]:
+            if name not in kwargs:
+                if name in factories:
+                    values[name] = factories[name]()
+                elif name in defaults:
+                    values[name] = defaults[name]
+                else:
+                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
 
     def __init__(self, *args, **kwargs):
-        given = dict(zip(names, args))
-        if len(args) > len(names) or not given.keys().isdisjoint(kwargs):
-            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, each once")
-        given.update(kwargs)
-        for name in names:
-            if name in given:
-                value = given.pop(name)
-            elif name in factories:
-                value = factories[name]()
-            elif name in defaults:
-                value = defaults[name]
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-            object.__setattr__(self, name, value)
-        if given:
-            raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(given)}")
+        k = len(args)
+        if k > len(names) or not kwargs.keys() <= tails[k]:
+            if k > len(names) or not kwargs.keys().isdisjoint(names[:k]):
+                raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, each once")
+            fill({}, kwargs, k)  # a missing field is reported before an unknown one
+            unknown = sorted(kwargs.keys() - tails[k])
+            raise TypeError(f"{cls.__name__}() got unexpected arguments {unknown}")
+        # Each field is named once: store them past the raising __setattr__.
+        values = self.__dict__
+        values.update(zip(names, args))
+        values.update(kwargs)
+        if k + len(kwargs) < len(names):
+            fill(values, kwargs, k)
         if post_init:
             self.__post_init__()
 

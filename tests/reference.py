@@ -4,6 +4,7 @@ Each helper here is a direct transcription of a definition, kept in one
 place so that every test file checks the package against the same one.
 """
 
+from qcrel.groupoids import check_structure_laws
 from qcrel.relations import FinRel
 
 
@@ -66,3 +67,9 @@ def finrel_from_json_dict(payload, check_sizes=None):
     if check_sizes is not None and dom > 0 and cod > 0:
         check_sizes(dom, cod)
     return FinRel(dom, cod, seen)
+
+
+def structure_laws(z):
+    """The five laws of a groupoid decided by the full composites over all
+    its n elements: ``check_structure_laws`` of its multiplication and unit."""
+    return check_structure_laws(z.mult_rel, z.unit_state())

@@ -198,6 +198,22 @@ class TestGroverDiffusion:
         first = grover_diffusion(pair)
         assert grover_diffusion(pair) is first
         assert first == self.fresh_reflection(pair)
+        self.assert_effects_folded(pair)
+
+    @staticmethod
+    def assert_effects_folded(pair):
+        """The pair's post-selection effects are the X-classical effects pulled
+        back through the converse of a fresh reflection, built once."""
+        back = converse(TestGroverDiffusion.fresh_reflection(pair)[0])
+        effects = pair._reflected_effects
+        assert pair._reflected_effects is effects
+        assert effects == tuple(StateVec(pair.size, back.image(rho.members))
+                                for rho in pair.x_classical_states())
+
+    @pytest.mark.parametrize("spec", ["pair(Z1,Z1)", "pair(Z2,Z2)", "pair(Z3,Z3)",
+                                      "pair(Z2,Z3)", "pair(Z2xZ2,Z2)", "pair(Z4,Z1)"])
+    def test_effects_folded_once_per_pair(self, spec):
+        self.assert_effects_folded(parse_pair_spec(spec))
 
 
 def grover_inst(rel, sigma_index=1):
@@ -230,6 +246,16 @@ class TestGroverRun:
         inst = grover_inst(BALANCED_FS[0])
         with pytest.raises(ValueError, match="classical state"):
             grover_zero_condition(inst, StateVec(4, [0, 1]))
+
+    def test_membership_is_by_value(self):
+        # A fresh state equal to a classical one is classical; an equal set
+        # of members on another space is not.
+        inst = grover_inst(BALANCED_FS[0])
+        assert grover_zero_condition(inst, StateVec(4, [1, 3])) is False
+        with pytest.raises(ValueError, match="classical state"):
+            grover_zero_condition(inst, StateVec(5, [1, 3]))
+        with pytest.raises(ValueError, match="sigma must be a classical state"):
+            GroverInstance(P22, P22, inst.f, StateVec(5, [1, 3]))
 
     def test_outcomes_never_satisfy_zero_condition(self):
         for rel in enumerate_classical_relations(Z22, Z22):

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -469,6 +470,62 @@ class TestSysArgv:
         monkeypatch.setattr(sys, "argv", ["qcrel", *argv])
         assert main() == 0
         assert capsys.readouterr() == expected
+
+
+class TestHelpWidth:
+    """``main`` asks the terminal for its width once per call, and prints
+    what argparse's stock formatter, which asks per formatter, prints."""
+
+    @staticmethod
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([verb, "--help"] for verb in VERBS), ["dj", "--pairA"],
+    ], ids=" ".join)
+    def test_same_as_stock_formatter(self, argv, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = self.outcome(argv)
+        monkeypatch.setattr(cli, "partial", lambda formatter_class, **kwargs: formatter_class)
+        assert got == self.outcome(argv)
+        assert got[0] in (0, 1) and got[1] + got[2]
+
+    def test_terminal_asked_once(self, monkeypatch, capsys):
+        asked = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: asked.append(a) or size(*a))
+        assert main(["verify-structure", "--groupoid", "Z2", "--json"]) == 0
+        assert main(["dj", "--help"]) == 0
+        assert len(asked) == 2
+
+
+class TestVerifyStructureBudget:
+    """A groupoid whose law check would build more than ``_LAW_ROWS_LIMIT``
+    rows (n^2 for the multiplication, |G|^3 for the one distinct copy) is
+    refused before any table is built."""
+
+    @pytest.mark.parametrize("spec,rows", [("Z2000", 2000 ** 2 + 2000 ** 3),
+                                           ("Z2^2000", 4000 ** 2 + 2 ** 3)])
+    def test_oversized_groupoid_is_input_error(self, spec, rows):
+        proc = run_cli(["verify-structure", "--groupoid", spec], timeout=60,
+                       preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: groupoid {spec} is too large to check: its laws take {rows} rows, "
+                   f"above the limit of {1 << 22}\n")
+
+    def test_limit_is_inclusive(self, monkeypatch, capsys):
+        # Z4^2: 8^2 + 4^3 = 128 rows.
+        monkeypatch.setattr(cli, "_LAW_ROWS_LIMIT", 128)
+        assert main(["verify-structure", "--groupoid", "Z4^2"]) == 0
+        monkeypatch.setattr(cli, "_LAW_ROWS_LIMIT", 127)
+        assert main(["verify-structure", "--groupoid", "Z4^2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: groupoid Z4^2 is too large to check: its laws take 128 "
+                                "rows, above the limit of 127\n")
 
 
 class TestReportGoldens:

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcrel import groupoids
 from qcrel.groupoids import (
     AbelianGroup,
     ComplementaryPair,
     Groupoid,
+    _check_laws_by_copy,
     check_structure_laws,
     cnot,
     fourier_rel,
@@ -24,7 +26,7 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, StateVec, identity, is_unitary, tensor, then
-from reference import x_mult
+from reference import structure_laws, x_mult
 
 
 def x_unbiased_states(pair):
@@ -133,6 +135,116 @@ class TestStructureLaws:
         rep = verify_classical_structure(parse_groupoid_spec("Z2"))
         assert set(rep.as_dict()) == {"coassociative", "counital", "frobenius",
                                       "special", "symmetric"}
+
+
+# The groupoids whose laws the tests, acceptance criterion 2 and the
+# benchmark's `classify` workload check.
+LAW_SPECS = sorted({"Z1", "Z2", "Z3", "Z4", "Z2^2", "Z3^3", "Z4^2", "Z2xZ2", "Z2xZ3^2", "Z1^4",
+                    *(f"Z{order}^{copies}" for order in range(1, 5) for copies in range(1, 5)),
+                    "Z5", "Z6", "Z2xZ3", "Z3^2", "Z2^3", "Z2^4", "Z2^8"})
+
+
+LAWS = ("coassociative", "counital", "frobenius", "special", "symmetric")
+
+
+def toggled(rel, pair):
+    """``rel`` with one pair added if absent, removed if present."""
+    return FinRel(rel.dom_size, rel.cod_size, rel.pairs ^ {pair})
+
+
+def block_pairs(z):
+    """Every ((a, b), c) of a groupoid's multiplication cells with a, b and c in one copy."""
+    m, n = z.base.order, z.size
+    return [(a * n + b, c) for lo in range(0, n, m) for a in range(lo, lo + m)
+            for b in range(lo, lo + m) for c in range(lo, lo + m)]
+
+
+class TestLawsByCopy:
+    """``verify_classical_structure`` checks each distinct copy once; the full
+    composites over the whole groupoid are the reference."""
+
+    @pytest.mark.parametrize("spec", LAW_SPECS)
+    def test_equals_full_composites(self, spec):
+        z = parse_groupoid_spec(spec)
+        assert verify_classical_structure(z) == structure_laws(z)
+
+    def test_checks_one_restriction_per_distinct_copy(self, monkeypatch):
+        shapes = []
+
+        def record(mult, unit):
+            shapes.append((mult.dom_size, mult.cod_size, unit.sorted_members()))
+            return check_structure_laws(mult, unit)
+
+        monkeypatch.setattr(groupoids, "check_structure_laws", record)
+        assert verify_classical_structure(parse_groupoid_spec("Z3^4")).all_ok
+        assert shapes == [(9, 3, [0])]
+        # One copy is checked whole.
+        shapes.clear()
+        assert verify_classical_structure(parse_groupoid_spec("Z3")).all_ok
+        assert shapes == [(9, 3, [0])]
+
+    @pytest.mark.parametrize("spec,laws", [
+        ("Z1^3", {"counital", "special"}),
+        *((spec, set(LAWS)) for spec in ("Z2^3", "Z3^2", "Z2xZ2^2", "Z4^2")),
+    ])
+    def test_block_diagonal_mutants(self, spec, laws):
+        # Each mutant adds or drops one product inside one copy, so it breaks
+        # a law in that copy only, and the per-copy path decides it.
+        z = parse_groupoid_spec(spec)
+        mult, unit, m = z.mult_rel, z.unit_state(), z.base.order
+        broken = set()
+        for pair in block_pairs(z):
+            mutant = toggled(mult, pair)
+            report = _check_laws_by_copy(mutant, unit, m)
+            assert report == check_structure_laws(mutant, unit), pair
+            broken |= {law for law, ok in report.as_dict().items() if not ok}
+        assert broken == laws
+
+    @pytest.mark.parametrize("spec", ["Z1^3", "Z2^3", "Z3^2", "Z2xZ2^2"])
+    def test_unit_mutants(self, spec):
+        # The counit and symmetric laws read the union of the units: drop or
+        # add one element of one copy's unit.  Abelian products stay symmetric.
+        z = parse_groupoid_spec(spec)
+        mult, unit = z.mult_rel, z.unit_state()
+        broken = set()
+        for e in range(z.size):
+            mutant = StateVec(z.size, unit.members ^ {e})
+            report = _check_laws_by_copy(mult, mutant, z.base.order)
+            assert report == check_structure_laws(mult, mutant), e
+            broken |= {law for law, ok in report.as_dict().items() if not ok}
+        assert broken == {"counital"}
+
+    def test_products_across_copies_go_to_full_composites(self):
+        z = parse_groupoid_spec("Z2^2")
+        for pair in [(0 * 4 + 2, 0), (1 * 4 + 1, 3), (2 * 4 + 3, 0)]:
+            mutant = toggled(z.mult_rel, pair)
+            report = _check_laws_by_copy(mutant, z.unit_state(), 2)
+            assert report == check_structure_laws(mutant, z.unit_state())
+            assert not report.all_ok
+
+    def test_unit_state_of_another_size_is_refused(self):
+        z = parse_groupoid_spec("Z2^2")
+        with pytest.raises(ValueError, match="unit lives on 2 elements"):
+            _check_laws_by_copy(z.mult_rel, StateVec(2, [0]), 2)
+
+    @given(st.sampled_from([[1], [2], [3], [4], [2, 2]]), st.integers(1, 4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_pair_mutants(self, orders, copies, data):
+        z = Groupoid(AbelianGroup(orders), copies)
+        n = z.size
+        mult, unit = z.mult_rel, z.unit_state()
+        if data.draw(st.booleans(), label="inside a copy"):
+            pair = data.draw(st.sampled_from(block_pairs(z)), label="product")
+        else:
+            pair = (data.draw(st.integers(0, n * n - 1)), data.draw(st.integers(0, n - 1)))
+        mult = toggled(mult, pair)
+        if data.draw(st.booleans(), label="mutate the unit"):
+            unit = StateVec(n, unit.members ^ {data.draw(st.integers(0, n - 1))})
+        assert _check_laws_by_copy(mult, unit, z.base.order) == check_structure_laws(mult, unit)
+
+    def test_many_copies(self):
+        # 256 elements: the full composites would build 256^3-row relations.
+        assert verify_classical_structure(parse_groupoid_spec("Z2^128")).all_ok
 
 
 class TestComplementaryPair:

@@ -200,3 +200,32 @@ def test_post_init_checks_run_in_order():
         OracleSpec(pair.z, pair, StructuredRel(identity(3), z3, z3))
     with pytest.raises(ValueError, match="domain 3 != source groupoid size 4"):
         StructuredRel(identity(3), pair.z, z3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Scalar(True, False), "Scalar() takes 1 arguments, each once"),
+    (lambda: Scalar(True, possible=False), "Scalar() takes 1 arguments, each once"),
+    (lambda: Scalar(), "Scalar() missing argument 'possible'"),
+    (lambda: Scalar(True, other=1), "Scalar() got unexpected arguments ['other']"),
+    # A missing field is reported before an unknown one.
+    (lambda: Scalar(other=1), "Scalar() missing argument 'possible'"),
+    (lambda: LawReport(True, True, True, True, b=1, a=2),
+     "LawReport() missing argument 'symmetric'"),
+    (lambda: LawReport(True, True, True, True, True, b=1, a=2),
+     "LawReport() got unexpected arguments ['a', 'b']"),
+    (lambda: RunReport("dj", {}, None, (), {}, {}, queries=2, algorithm="dj"),
+     "RunReport() takes 8 arguments, each once"),
+])
+def test_constructor_errors(call, message):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_keyword_order_and_defaults():
+    a = RunReport(queries=3, composites={}, diagnostics={}, scalars={}, possible_outcomes=(),
+                  decision=None, instance={}, algorithm="dj")
+    assert a == RunReport("dj", {}, None, (), {}, {}, {}, 3)
+    b = RunReport("dj", {}, None, (), {}, diagnostics={})
+    assert (b.composites, b.queries) == ({}, 1)
+    assert b.composites is not RunReport("dj", {}, None, (), {}, {}).composites
