@@ -36,7 +36,7 @@ NEITHER = "neither"
 UNDETERMINED = "undetermined"
 
 
-@_frozen(factories={"composites": dict})
+@_frozen
 class RunReport:
     """Outcome of one algorithm run: decision, possible outcomes, diagnostics."""
 
@@ -46,8 +46,17 @@ class RunReport:
     possible_outcomes: tuple[StateVec, ...]
     scalars: dict[str, bool]
     diagnostics: dict
-    composites: dict[str, FinRel]  # a fresh dict by default
-    queries: int = 1
+    composites: dict[str, FinRel]
+    queries: int
+
+    def __init__(self, algorithm: str, instance: dict, decision: Optional[str],
+                 possible_outcomes: tuple[StateVec, ...], scalars: dict[str, bool],
+                 diagnostics: dict, composites: Optional[dict[str, FinRel]] = None,
+                 queries: int = 1) -> None:
+        vars(self).update(algorithm=algorithm, instance=instance, decision=decision,
+                          possible_outcomes=possible_outcomes, scalars=scalars,
+                          diagnostics=diagnostics,
+                          composites={} if composites is None else composites, queries=queries)
 
     def to_json_dict(self) -> dict:
         diagnostics = {
@@ -134,10 +143,12 @@ class DJInstance:
     pair_a: ComplementaryPair
     pair_b: ComplementaryPair
     f: StructuredRel
-    unchecked: bool = False
+    unchecked: bool
 
-    def __post_init__(self) -> None:
-        _validate(self.pair_a, self.pair_b, self.f, self.unchecked, "blackbox", "first system's")
+    def __init__(self, pair_a: ComplementaryPair, pair_b: ComplementaryPair, f: StructuredRel,
+                 unchecked: bool = False) -> None:
+        _validate(pair_a, pair_b, f, unchecked, "blackbox", "first system's")
+        vars(self).update(pair_a=pair_a, pair_b=pair_b, f=f, unchecked=unchecked)
 
 
 def dj_classify(inst: DJInstance) -> str:
@@ -304,11 +315,12 @@ class GroverInstance:
     pair_b: ComplementaryPair
     f: StructuredRel
     sigma: StateVec
-    unchecked: bool = False
+    unchecked: bool
 
-    def __post_init__(self) -> None:
-        _validate(self.pair_s, self.pair_b, self.f, self.unchecked, "indicator",
-                  "search system's", self.sigma)
+    def __init__(self, pair_s: ComplementaryPair, pair_b: ComplementaryPair, f: StructuredRel,
+                 sigma: StateVec, unchecked: bool = False) -> None:
+        _validate(pair_s, pair_b, f, unchecked, "indicator", "search system's", sigma)
+        vars(self).update(pair_s=pair_s, pair_b=pair_b, f=f, sigma=sigma, unchecked=unchecked)
 
 
 def grover_diffusion(pair_s: ComplementaryPair) -> tuple[FinRel, bool]:
@@ -362,11 +374,12 @@ class HomIDInstance:
     pair_a: ComplementaryPair
     f: StructuredRel
     sigma: StateVec
-    unchecked: bool = False
+    unchecked: bool
 
-    def __post_init__(self) -> None:
-        _validate(self.pair_g, self.pair_a, self.f, self.unchecked, "blackbox",
-                  "first system's", self.sigma)
+    def __init__(self, pair_g: ComplementaryPair, pair_a: ComplementaryPair, f: StructuredRel,
+                 sigma: StateVec, unchecked: bool = False) -> None:
+        _validate(pair_g, pair_a, f, unchecked, "blackbox", "first system's", sigma)
+        vars(self).update(pair_g=pair_g, pair_a=pair_a, f=f, sigma=sigma, unchecked=unchecked)
 
 
 def grouphomid_necessary(inst: HomIDInstance, rho: StateVec) -> bool:

@@ -45,6 +45,7 @@ from . import groupoids
 from .groupoids import ComplementaryPair, Groupoid, verify_classical_structure
 from .hom_relations import (
     StructuredRel,
+    census_size,
     enumerate_classical_relations,
     is_classical_relation,
     is_groupoid_hom_relation,
@@ -166,8 +167,8 @@ def _sigma_state(pair: ComplementaryPair, index: int):
     return states[index]
 
 
-# The most rows ``verify-structure`` builds: Z128 fits (2.1 million rows).
-_LAW_ROWS_LIMIT = 1 << 22
+# The most rows or pairs a verb builds; ``verify-structure`` fits Z128 (2.1 million rows).
+_SIZE_LIMIT = 1 << 22
 
 
 def _cmd_verify_structure(args) -> int:
@@ -175,9 +176,9 @@ def _cmd_verify_structure(args) -> int:
     # The multiplication's n^2 rows, and |G|^3 for the laws of the one distinct
     # copy: every copy of a groupoid restricts to the same group.
     rows = z.size ** 2 + z.base.order ** 3
-    if rows > _LAW_ROWS_LIMIT:
+    if rows > _SIZE_LIMIT:
         raise ValueError(f"groupoid {z.spec()} is too large to check: its laws take {rows} "
-                         f"rows, above the limit of {_LAW_ROWS_LIMIT}")
+                         f"rows, above the limit of {_SIZE_LIMIT}")
     report = verify_classical_structure(z)
     if args.json:
         print(json.dumps({"groupoid": z.spec(), "laws": report.as_dict(),
@@ -191,6 +192,10 @@ def _cmd_verify_structure(args) -> int:
 def _cmd_enumerate(args) -> int:
     source = parse_groupoid_spec(args.source)
     target = parse_groupoid_spec(args.target)
+    pairs = census_size(source, target, args.budget)
+    if pairs > _SIZE_LIMIT:
+        raise ValueError(f"census {source.spec()} -> {target.spec()} is too large to list: it "
+                         f"holds {pairs} pairs, above the limit of {_SIZE_LIMIT}")
     for rel in enumerate_classical_relations(source, target, max_relations=args.budget):
         print(rel.to_json())
     return 0
@@ -199,6 +204,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_check_relation(args) -> int:
     source = parse_groupoid_spec(args.source)
     target = parse_groupoid_spec(args.target)
+    # The multiplicative equation builds both multiplications and R x R.
+    rows = 2 * source.size ** 2 + target.size ** 2
+    if rows > _SIZE_LIMIT:
+        raise ValueError(f"relations {source.spec()} -> {target.spec()} are too large to check: "
+                         f"their predicates take {rows} rows, above the limit of {_SIZE_LIMIT}")
     s = parse_relation_file(args.rel, source, target)
     verdicts = {
         "groupoid_hom": is_groupoid_hom_relation(s),

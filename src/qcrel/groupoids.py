@@ -61,7 +61,7 @@ class AbelianGroup:
             raise ValueError("a group needs at least one cyclic factor")
         if any(n < 1 for n in orders):
             raise ValueError(f"cyclic factor orders must be >= 1, got {orders}")
-        object.__setattr__(self, "cyclic_orders", orders)
+        vars(self).update(cyclic_orders=orders)
 
     @cached_property
     def order(self) -> int:
@@ -115,8 +115,7 @@ class Groupoid:
     def __init__(self, base: AbelianGroup, copies: int = 1) -> None:
         if copies < 1:
             raise ValueError(f"a groupoid needs at least one copy, got {copies}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "copies", int(copies))
+        vars(self).update(base=base, copies=int(copies))
 
     @property
     def size(self) -> int:
@@ -188,19 +187,17 @@ class LawReport:
     special: bool
     symmetric: bool
 
+    def __init__(self, coassociative: bool, counital: bool, frobenius: bool, special: bool,
+                 symmetric: bool) -> None:
+        vars(self).update(coassociative=coassociative, counital=counital, frobenius=frobenius,
+                          special=special, symmetric=symmetric)
+
     @property
     def all_ok(self) -> bool:
-        return (self.coassociative and self.counital and self.frobenius
-                and self.special and self.symmetric)
+        return all(self.as_dict().values())
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "coassociative": self.coassociative,
-            "counital": self.counital,
-            "frobenius": self.frobenius,
-            "special": self.special,
-            "symmetric": self.symmetric,
-        }
+        return {law: getattr(self, law) for law in LawReport.__annotations__}
 
 
 def check_structure_laws(mult: FinRel, unit: StateVec) -> LawReport:
@@ -294,11 +291,7 @@ def _block_diagonal(rows: Sequence[tuple[int, ...]], n: int, m: int) -> bool:
 
 def _canonical_recode(g_order: int, h_order: int) -> tuple[int, ...]:
     """Z-flat index i*|G| + a  ->  X-flat index a*|H| + i."""
-    recode = [0] * (g_order * h_order)
-    for i in range(h_order):
-        for a in range(g_order):
-            recode[i * g_order + a] = a * h_order + i
-    return tuple(recode)
+    return tuple(a * h_order + i for i in range(h_order) for a in range(g_order))
 
 
 def _inverse(perm: Sequence[int]) -> tuple[int, ...]:
@@ -339,18 +332,12 @@ class ComplementaryPair:
             if sorted(recode) != list(range(z.size)):
                 raise ValueError("x_recode must be a permutation of the underlying set")
             canonical = recode == _canonical_recode(g.order, h.order)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_recode", recode)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "x_recode_inverse", _inverse(recode))
-        complementary = is_complementary(z, x, recode)
+        complementary = _ControlledBlocks(z, identity(z.size), x, recode).bijective()
         # The canonical coding is complementary by construction; keep it checked.
         if canonical and not complementary:
             raise AssertionError("canonical pair violates the classical/unbiased correspondence")
-        object.__setattr__(self, "_complementary", complementary)
+        vars(self).update(g=g, h=h, z=z, x=x, x_recode=recode, canonical=canonical,
+                          x_recode_inverse=_inverse(recode), _complementary=complementary)
 
     @property
     def size(self) -> int:
@@ -540,11 +527,8 @@ def parse_groupoid_spec(text: str) -> Groupoid:
     if not _GROUPOID_SPEC.fullmatch(text):
         pos = _first_bad_position(text, allow_caret=True)
         raise ValueError(f"malformed groupoid spec {text!r} at position {pos}")
-    if "^" in text:
-        group_part, copies_part = text.split("^")
-        copies = int(copies_part)
-    else:
-        group_part, copies = text, 1
+    group_part, _, copies_part = text.partition("^")
+    copies = int(copies_part or 1)
     if copies == 0:
         raise ValueError(f"groupoid spec {text!r} asks for 0 copies")
     return Groupoid(parse_group_spec(group_part), copies)
@@ -562,10 +546,5 @@ def parse_pair_spec(text: str) -> ComplementaryPair:
 
 
 def _first_bad_position(text: str, allow_caret: bool) -> int:
-    allowed = set("Zx0123456789")
-    if allow_caret:
-        allowed.add("^")
-    for i, ch in enumerate(text):
-        if ch not in allowed:
-            return i
-    return len(text)
+    allowed = set("Zx0123456789^" if allow_caret else "Zx0123456789")
+    return next((i for i, ch in enumerate(text) if ch not in allowed), len(text))

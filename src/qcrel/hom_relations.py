@@ -46,8 +46,9 @@ class StructuredRel:
     source: Groupoid
     target: Groupoid
 
-    def __post_init__(self) -> None:
-        _check_sizes(self.rel.dom_size, self.rel.cod_size, self.source, self.target)
+    def __init__(self, rel: FinRel, source: Groupoid, target: Groupoid) -> None:
+        _check_sizes(rel.dom_size, rel.cod_size, source, target)
+        vars(self).update(rel=rel, source=source, target=target)
 
     @classmethod
     def from_json(cls, text: str, source: Groupoid, target: Groupoid) -> "StructuredRel":
@@ -214,13 +215,27 @@ def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
     arXiv:0812.2266; Heunen-Contreras-Cattaneo, arXiv:1112.1284), so the
     census has (copies_B * |Hom(H, G)|) ** copies_A members, with
     |Hom(H, G)| = prod gcd(h_i, g_j).  That count is checked against
-    ``max_relations`` before anything is built.
+    ``max_relations`` before anything is built (``census_size``).
 
     The output is sorted by pair-set lexicographic order.  Every copy
     contributes |H| pairs in its own source block, so listing the per-copy
     blocks in sorted order and taking their product in that order is already
     sorted.
     """
+    census_size(source, target, max_relations)
+    g, h = source.base, target.base
+    ng, nh = g.order, h.order
+    blocks = sorted((FinRel(ng, target.size, ((phi[y], j * nh + y) for y in range(nh)))
+                     for j in range(target.copies) for phi in _homomorphisms(h, g)),
+                    key=FinRel.sorted_pairs)
+    return [FinRel._trusted(source.size, target.size,
+                            tuple(chain.from_iterable(block.rows for block in choice)))
+            for choice in product(blocks, repeat=source.copies)]
+
+
+def census_size(source: Groupoid, target: Groupoid, max_relations: int) -> int:
+    """The pairs ``enumerate_classical_relations`` lists, |H| per source copy
+    of each relation; a census of more than ``max_relations`` is refused."""
     g, h = source.base, target.base
     per_copy = target.copies * prod(gcd(hi, gj) for hi in h.cyclic_orders for gj in g.cyclic_orders)
     # Past this many copies a per_copy > 1 census exceeds the budget; the
@@ -233,11 +248,4 @@ def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
             f"census has {per_copy}^{source.copies}{exact} classical relations, "
             f"beyond the budget of {max_relations}"
         )
-
-    ng, nh = g.order, h.order
-    blocks = sorted((FinRel(ng, target.size, ((phi[y], j * nh + y) for y in range(nh)))
-                     for j in range(target.copies) for phi in _homomorphisms(h, g)),
-                    key=FinRel.sorted_pairs)
-    return [FinRel._trusted(source.size, target.size,
-                            tuple(chain.from_iterable(block.rows for block in choice)))
-            for choice in product(blocks, repeat=source.copies)]
+    return count * source.copies * h.order

@@ -23,11 +23,12 @@ class OracleSpec:
     pair_b: ComplementaryPair
     f: StructuredRel
 
-    def __post_init__(self) -> None:
-        if self.f.source != self.za:
+    def __init__(self, za: Groupoid, pair_b: ComplementaryPair, f: StructuredRel) -> None:
+        if f.source != za:
             raise ValueError("oracle relation must start at the control Z-basis")
-        if self.f.target != self.pair_b.z:
+        if f.target != pair_b.z:
             raise ValueError("oracle relation must land in the target system's Z-basis")
+        vars(self).update(za=za, pair_b=pair_b, f=f)
 
 
 def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:

@@ -21,14 +21,14 @@ like a pipeline; the mathematical composite "s after r" is ``then(r, s)``.
 
 Values
 ------
-Every value class in the package is decorated with ``_frozen``, which gives
-it the semantics of ``@dataclass(frozen=True)``: its fields are its
-annotated names, in order; equality holds only within one class and compares
-the fields as one tuple, which is also what is hashed; assignment and
-deletion raise ``AttributeError``; and a class without its own ``__init__``
-or ``__repr__`` gets one over the fields.  It builds these methods as
-closures, not by generating code, so importing the package imports neither
-``dataclasses`` nor the ``inspect`` and ``ast`` modules it pulls in.
+Every value class writes its own constructor, which runs its checks and
+then stores the fields in one step.  ``_frozen`` gives it value semantics:
+its fields are its annotated names, in order; equality holds only within one
+class and compares the fields as one tuple, which is also what is hashed;
+assignment and deletion raise ``AttributeError``; and a class without its
+own ``__repr__`` gets one over the fields.  These methods are closures, not
+generated code, so importing the package imports neither ``dataclasses``
+nor the ``inspect`` and ``ast`` modules it pulls in.
 """
 
 from __future__ import annotations
@@ -43,55 +43,18 @@ Pair = Tuple[int, int]
 Row = Tuple[int, ...]
 
 
-def _frozen(cls=None, /, *, factories=None):
+def _frozen(cls):
     """Class decorator: frozen value semantics over the annotated fields.
 
-    An attribute that a class's own ``__init__`` sets without annotating it
-    stays out of equality, hashing and the repr.  The generated ``__init__``
-    takes the fields positionally or by keyword; a field's class attribute is
-    its default, and ``factories`` maps a field to a callable that makes a
-    fresh default for each instance.  It then calls ``__post_init__`` if the
-    class has one.  ``cached_property`` still works: it writes the instance's
+    The class writes its own ``__init__``, which stores every annotated field
+    in one ``vars(self).update(...)``, since assignment raises.  An attribute
+    it stores without annotating it stays out of equality, hashing and the
+    repr, and so does a ``cached_property``, which writes the instance's
     ``__dict__`` directly.
     """
-    if cls is None:
-        return lambda cls: _frozen(cls, factories=factories)
     names = tuple(cls.__annotations__)
-    factories = factories or {}
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     get = attrgetter(*names)
     fields = get if len(names) > 1 else lambda self: (get(self),)
-    post_init = hasattr(cls, "__post_init__")
-    # The fields a call may still name by keyword after k positional arguments.
-    tails = [frozenset(names[k:]) for k in range(len(names) + 1)]
-
-    def fill(values, kwargs, k):
-        """Give each field after the first k that ``kwargs`` lacks its default."""
-        for name in names[k:]:
-            if name not in kwargs:
-                if name in factories:
-                    values[name] = factories[name]()
-                elif name in defaults:
-                    values[name] = defaults[name]
-                else:
-                    raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-
-    def __init__(self, *args, **kwargs):
-        k = len(args)
-        if k > len(names) or not kwargs.keys() <= tails[k]:
-            if k > len(names) or not kwargs.keys().isdisjoint(names[:k]):
-                raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, each once")
-            fill({}, kwargs, k)  # a missing field is reported before an unknown one
-            unknown = sorted(kwargs.keys() - tails[k])
-            raise TypeError(f"{cls.__name__}() got unexpected arguments {unknown}")
-        # Each field is named once: store them past the raising __setattr__.
-        values = self.__dict__
-        values.update(zip(names, args))
-        values.update(kwargs)
-        if k + len(kwargs) < len(names):
-            fill(values, kwargs, k)
-        if post_init:
-            self.__post_init__()
 
     def __repr__(self):
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
@@ -112,7 +75,8 @@ def _frozen(cls=None, /, *, factories=None):
         raise AttributeError(f"cannot delete field {name!r}")
 
     methods = [__eq__, __hash__, __setattr__, __delattr__]
-    methods += [m for m in (__init__, __repr__) if m.__name__ not in cls.__dict__]
+    if "__repr__" not in cls.__dict__:
+        methods.append(__repr__)
     for method in methods:
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
@@ -145,27 +109,22 @@ class FinRel:
     def __init__(self, dom_size: int, cod_size: int, pairs: Iterable[Pair] = ()) -> None:
         _check_positive(dom_size, cod_size)
         successors: dict[int, set[int]] = {}
-        for p in pairs:
-            a, b = p
+        for a, b in pairs:
             a, b = int(a), int(b)
             if not (0 <= a < dom_size and 0 <= b < cod_size):
                 raise ValueError(
                     f"pair ({a},{b}) out of range for a {dom_size}->{cod_size} relation"
                 )
             successors.setdefault(a, set()).add(b)
-        object.__setattr__(self, "dom_size", int(dom_size))
-        object.__setattr__(self, "cod_size", int(cod_size))
-        object.__setattr__(self, "rows", tuple(
-            tuple(sorted(successors[a])) if a in successors else () for a in range(self.dom_size)))
+        vars(self).update(dom_size=int(dom_size), cod_size=int(cod_size), rows=tuple(
+            tuple(sorted(successors[a])) if a in successors else () for a in range(int(dom_size))))
 
     @classmethod
     def _trusted(cls, dom_size: int, cod_size: int, rows: tuple[Row, ...]) -> "FinRel":
         """Build from rows already in the stored form (one sorted, repeat-free
         tuple of in-range targets per source), skipping every check."""
         rel = object.__new__(cls)
-        object.__setattr__(rel, "dom_size", dom_size)
-        object.__setattr__(rel, "cod_size", cod_size)
-        object.__setattr__(rel, "rows", rows)
+        vars(rel).update(dom_size=dom_size, cod_size=cod_size, rows=rows)
         return rel
 
     @cached_property
@@ -259,8 +218,7 @@ class StateVec:
         for m in mem:
             if not (0 <= m < space_size):
                 raise ValueError(f"member {m} out of range for a {space_size}-element space")
-        object.__setattr__(self, "space_size", int(space_size))
-        object.__setattr__(self, "members", mem)
+        vars(self).update(space_size=int(space_size), members=mem)
 
     def as_ket(self) -> FinRel:
         """The relation {*} -> H selecting this subset."""
@@ -290,6 +248,9 @@ class Scalar:
     """One of the two scalars: the identity (possible) or empty (impossible) relation on {*}."""
 
     possible: bool
+
+    def __init__(self, possible: bool) -> None:
+        vars(self).update(possible=possible)
 
     def as_rel(self) -> FinRel:
         return FinRel(1, 1, [(0, 0)] if self.possible else [])

@@ -504,7 +504,7 @@ class TestHelpWidth:
 
 
 class TestVerifyStructureBudget:
-    """A groupoid whose law check would build more than ``_LAW_ROWS_LIMIT``
+    """A groupoid whose law check would build more than ``_SIZE_LIMIT``
     rows (n^2 for the multiplication, |G|^3 for the one distinct copy) is
     refused before any table is built."""
 
@@ -519,13 +519,72 @@ class TestVerifyStructureBudget:
 
     def test_limit_is_inclusive(self, monkeypatch, capsys):
         # Z4^2: 8^2 + 4^3 = 128 rows.
-        monkeypatch.setattr(cli, "_LAW_ROWS_LIMIT", 128)
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 128)
         assert main(["verify-structure", "--groupoid", "Z4^2"]) == 0
-        monkeypatch.setattr(cli, "_LAW_ROWS_LIMIT", 127)
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 127)
         assert main(["verify-structure", "--groupoid", "Z4^2"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ("error: groupoid Z4^2 is too large to check: its laws take 128 "
                                 "rows, above the limit of 127\n")
+
+
+class TestCheckRelationBudget:
+    """Groupoids whose multiplicative equation would build more than
+    ``_SIZE_LIMIT`` rows (n^2 for the source's multiplication and for R x R
+    each, and n^2 for the target's) are refused before the file is read."""
+
+    @pytest.mark.parametrize("source,target,rows", [("Z1", "Z3000", 2 + 3000 ** 2),
+                                                    ("Z3000", "Z1", 2 * 3000 ** 2 + 1)])
+    def test_oversized_groupoids_are_input_error(self, source, target, rows, tmp_path):
+        # The file does not exist: it is never opened.
+        proc = run_cli(["check-relation", "--from", source, "--to", target,
+                        "--rel", str(tmp_path / "missing.json")], timeout=60,
+                       preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: relations {source} -> {target} are too large to check: their "
+                   f"predicates take {rows} rows, above the limit of {1 << 22}\n")
+
+    def test_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
+        # Z2 -> Z4: 2 * 2^2 + 4^2 = 24 rows.
+        argv = ["check-relation", "--from", "Z2", "--to", "Z4",
+                "--rel", write_rel(tmp_path, FinRel(2, 4, [(0, 0), (1, 2)]))]
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 24)
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 23)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: relations Z2 -> Z4 are too large to check: "
+                                           "their predicates take 24 rows, above the limit of 23\n")
+
+
+class TestEnumeratePairBudget:
+    """A census whose relations hold more than ``_SIZE_LIMIT`` pairs together
+    (|H| per source copy of each) is refused before any of it is built."""
+
+    @pytest.mark.parametrize("source,target", [("Z1", "Z100000000"), ("Z1^100000000", "Z1")])
+    def test_oversized_census_is_input_error(self, source, target):
+        proc = run_cli(["enumerate", "--from", source, "--to", target], timeout=60,
+                       preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: census {source} -> {target} is too large to list: it holds "
+                   f"{10 ** 8} pairs, above the limit of {1 << 22}\n")
+
+    def test_limit_is_inclusive(self, monkeypatch, capsys):
+        # Z2^2 -> Z2^2: 16 relations of 2 copies x 2 pairs, 64 pairs.
+        argv = ["enumerate", "--from", "Z2^2", "--to", "Z2^2"]
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 64)
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 16
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 63)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: census Z2^2 -> Z2^2 is too large to list: "
+                                           "it holds 64 pairs, above the limit of 63\n")
+
+    def test_relation_budget_is_checked_first(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 1)
+        assert main(["enumerate", "--from", "Z2^2", "--to", "Z2^2", "--budget", "15"]) == 1
+        assert capsys.readouterr().err == (
+            "error: census has 4^2 = 16 classical relations, beyond the budget of 15\n")
 
 
 class TestReportGoldens:

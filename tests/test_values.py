@@ -6,6 +6,8 @@ that, immutable, with the field-by-field repr where the class has no repr of
 its own, and with the same constructor defaults.
 """
 
+from functools import cached_property
+
 import pytest
 
 from qcrel.algorithms import DJInstance, GroverInstance, HomIDInstance, RunReport
@@ -156,6 +158,20 @@ def test_own_reprs():
     assert repr(StateVec(3, [2, 0])) == "StateVec(3, [0, 2])"
 
 
+@pytest.mark.parametrize("name", VALUES)
+def test_constructor_stores_exactly_the_fields(name):
+    # Only ComplementaryPair stores attributes of its own outside the fields,
+    # and a cached_property stores its value on first use.
+    for value in (VALUES[name][0](), VALUES[name][1]):
+        cls = type(value)
+        extra = {key for key, member in vars(cls).items() if isinstance(member, cached_property)}
+        if name == "ComplementaryPair":
+            hidden = {"x_recode_inverse", "_complementary"}
+            assert hidden <= vars(value).keys()
+            extra |= hidden
+        assert [key for key in vars(value) if key not in extra] == list(cls.__annotations__)
+
+
 def test_complementary_pair_ignores_its_hidden_fields():
     a, b = pair22(), pair22()
     object.__setattr__(b, "x_recode_inverse", (3, 2, 1, 0))
@@ -202,21 +218,36 @@ def test_post_init_checks_run_in_order():
         StructuredRel(identity(3), pair.z, z3)
 
 
+# The ids keep the case names from when the classes raised their own messages.
 @pytest.mark.parametrize("call,message", [
-    (lambda: Scalar(True, False), "Scalar() takes 1 arguments, each once"),
-    (lambda: Scalar(True, possible=False), "Scalar() takes 1 arguments, each once"),
-    (lambda: Scalar(), "Scalar() missing argument 'possible'"),
-    (lambda: Scalar(True, other=1), "Scalar() got unexpected arguments ['other']"),
-    # A missing field is reported before an unknown one.
-    (lambda: Scalar(other=1), "Scalar() missing argument 'possible'"),
-    (lambda: LawReport(True, True, True, True, b=1, a=2),
-     "LawReport() missing argument 'symmetric'"),
-    (lambda: LawReport(True, True, True, True, True, b=1, a=2),
-     "LawReport() got unexpected arguments ['a', 'b']"),
-    (lambda: RunReport("dj", {}, None, (), {}, {}, queries=2, algorithm="dj"),
-     "RunReport() takes 8 arguments, each once"),
+    pytest.param(lambda: Scalar(True, False),
+                 "Scalar.__init__() takes 2 positional arguments but 3 were given",
+                 id="<lambda>-Scalar() takes 1 arguments, each once0"),
+    pytest.param(lambda: Scalar(True, possible=False),
+                 "Scalar.__init__() got multiple values for argument 'possible'",
+                 id="<lambda>-Scalar() takes 1 arguments, each once1"),
+    pytest.param(lambda: Scalar(),
+                 "Scalar.__init__() missing 1 required positional argument: 'possible'",
+                 id="<lambda>-Scalar() missing argument 'possible'0"),
+    pytest.param(lambda: Scalar(True, other=1),
+                 "Scalar.__init__() got an unexpected keyword argument 'other'",
+                 id="<lambda>-Scalar() got unexpected arguments ['other']"),
+    # An unknown keyword is reported before a missing argument.
+    pytest.param(lambda: Scalar(other=1),
+                 "Scalar.__init__() got an unexpected keyword argument 'other'",
+                 id="<lambda>-Scalar() missing argument 'possible'1"),
+    pytest.param(lambda: LawReport(True, True, True, True, b=1, a=2),
+                 "LawReport.__init__() got an unexpected keyword argument 'b'",
+                 id="<lambda>-LawReport() missing argument 'symmetric'"),
+    pytest.param(lambda: LawReport(True, True, True, True, True, b=1, a=2),
+                 "LawReport.__init__() got an unexpected keyword argument 'b'",
+                 id="<lambda>-LawReport() got unexpected arguments ['a', 'b']"),
+    pytest.param(lambda: RunReport("dj", {}, None, (), {}, {}, queries=2, algorithm="dj"),
+                 "RunReport.__init__() got multiple values for argument 'algorithm'",
+                 id="<lambda>-RunReport() takes 8 arguments, each once"),
 ])
 def test_constructor_errors(call, message):
+    # Each class writes its own constructor, so Python reports a bad call.
     with pytest.raises(TypeError) as info:
         call()
     assert str(info.value) == message
