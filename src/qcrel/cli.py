@@ -19,9 +19,11 @@ Each process parses a spec once: ``parse_groupoid_spec`` and
 ``groupoids`` parsers over frozen values, so ``main`` calls share a pair and
 all it keeps; a failed parse is not cached, and an explicit recoding builds a
 pair per call.  Each ``main`` call builds every verb, but only the named
-verbs' arguments: argparse picks a verb by its exact name among the argv
-tokens (no aliases, abbreviations or ``@file``), and no output shows the
-arguments of a verb not picked, so output is as with every verb's built.
+verbs' arguments and help actions: argparse picks a verb by its exact name
+among the argv tokens (no aliases, abbreviations or ``@file``), and no
+output shows more of an unpicked verb than its name and help line, so output
+is as with every verb's built; the subcommand prefix ``qcrel`` is given, as
+argparse would format it with no positional before the verb.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
 
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Every verb, with the arguments of those named in ``argv`` (all if None).
+    """Every verb, with the arguments and help action of those named in
+    ``argv`` (all if None); a verb not named is only a name and a help line.
 
     The terminal is asked for its width once: argparse's stock formatter
     asks again for each of the dozen or so formatters a build makes, and
@@ -152,10 +155,11 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0],
                                      formatter_class=formatter)
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True, prog="qcrel")
     for verb, (help_text, _) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text, formatter_class=formatter)
-        if argv is None or verb in argv:
+        named = argv is None or verb in argv
+        p = sub.add_parser(verb, help=help_text, formatter_class=formatter, add_help=named)
+        if named:
             _add_arguments(p, verb)
     return parser
 
@@ -210,6 +214,10 @@ def _cmd_check_relation(args) -> int:
         raise ValueError(f"relations {source.spec()} -> {target.spec()} are too large to check: "
                          f"their predicates take {rows} rows, above the limit of {_SIZE_LIMIT}")
     s = parse_relation_file(args.rel, source, target)
+    pairs = sum(map(len, s.rel.rows)) ** 2
+    if pairs > _SIZE_LIMIT:
+        raise ValueError(f"relation {source.spec()} -> {target.spec()} is too large to check: "
+                         f"R x R holds {pairs} pairs, above the limit of {_SIZE_LIMIT}")
     verdicts = {
         "groupoid_hom": is_groupoid_hom_relation(s),
         "surjective_on_objects": is_surjective_on_objects(s),

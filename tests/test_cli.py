@@ -445,7 +445,18 @@ class TestParserPerVerb:
             if verb == "enumerate":
                 assert flags == [["-h", "--help"], ["--from"], ["--to"], ["--budget"], ["--json"]]
             else:
-                assert flags == [["-h", "--help"]]
+                assert flags == []
+
+    def test_given_prefix_is_the_one_argparse_formats(self):
+        # The full parser passes the same prefix as the per-verb one, so the
+        # equivalence tests above cannot catch a wrong one: compare with a
+        # stock parser that lets argparse format it.
+        stock = argparse.ArgumentParser(prog="qcrel").add_subparsers(dest="verb", required=True)
+        full = verb_parsers(cli._build_parser())
+        for verb in VERBS:
+            expected = stock.add_parser(verb).prog
+            assert full[verb].prog == expected
+            assert verb_parsers(cli._build_parser([verb]))[verb].prog == expected
 
 
 class TestSysArgv:
@@ -555,6 +566,35 @@ class TestCheckRelationBudget:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: relations Z2 -> Z4 are too large to check: "
                                            "their predicates take 24 rows, above the limit of 23\n")
+
+
+class TestCheckRelationPairBudget:
+    """A relation whose R x R would hold more than ``_SIZE_LIMIT`` pairs is
+    refused after the file is decoded and before any predicate runs."""
+
+    def test_dense_relation_is_input_error(self, tmp_path):
+        # Every identity maps only to an identity, so the multiplicative
+        # equation is reached: 3541^2 pairs in R x R.
+        pairs = [(0, 0), *((a, b) for a in range(1, 60) for b in range(60))]
+        path = write_rel(tmp_path, FinRel(60, 60, pairs))
+        proc = run_cli(["check-relation", "--from", "Z60", "--to", "Z60", "--rel", path],
+                       timeout=60, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: relation Z60 -> Z60 is too large to check: R x R holds "
+                   f"{3541 ** 2} pairs, above the limit of {1 << 22}\n")
+
+    def test_limit_is_inclusive(self, tmp_path, monkeypatch, capsys):
+        # Z2 -> Z2: 2 * 2^2 + 2^2 = 12 rows, and the full relation's R x R
+        # holds 4^2 = 16 pairs.
+        argv = ["check-relation", "--from", "Z2", "--to", "Z2",
+                "--rel", write_rel(tmp_path, FinRel(2, 2, itertools.product(range(2), repeat=2)))]
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 16)
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 5
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 15)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: relation Z2 -> Z2 is too large to check: "
+                                           "R x R holds 16 pairs, above the limit of 15\n")
 
 
 class TestEnumeratePairBudget:
