@@ -18,12 +18,12 @@ Each process parses a spec once: ``parse_groupoid_spec`` and
 ``parse_pair_spec`` here are bounded caches (128 specs each) of the
 ``groupoids`` parsers over frozen values, so ``main`` calls share a pair and
 all it keeps; a failed parse is not cached, and an explicit recoding builds a
-pair per call.  Each ``main`` call builds every verb, but only the named
-verbs' arguments and help actions: argparse picks a verb by its exact name
-among the argv tokens (no aliases, abbreviations or ``@file``), and no
-output shows more of an unpicked verb than its name and help line, so output
-is as with every verb's built; the subcommand prefix ``qcrel`` is given, as
-argparse would format it with no positional before the verb.
+pair per call.  Each ``main`` call builds a parser only for the verbs its
+argv names: argparse picks a verb by its exact name among the argv tokens
+(no aliases, abbreviations or ``@file``) and uses any other only as a choice
+name and help line, recorded before ``add_parser`` asks for its parser, so
+output is as with every verb's parser built; the subcommand prefix ``qcrel``
+is given, as argparse would format it with no positional before the verb.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def _add_arguments(p: argparse.ArgumentParser, verb: str) -> None:
 
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Every verb, with the arguments and help action of those named in
-    ``argv`` (all if None); a verb not named is only a name and a help line.
+    """Every verb, with a parser, arguments and help action for those named
+    in ``argv`` (all if None); a verb not named is only a name and a help line.
 
     The terminal is asked for its width once: argparse's stock formatter
     asks again for each of the dozen or so formatters a build makes, and
@@ -155,11 +155,12 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(prog="qcrel", description=__doc__.splitlines()[0],
                                      formatter_class=formatter)
-    sub = parser.add_subparsers(dest="verb", required=True, prog="qcrel")
+    sub = parser.add_subparsers(
+        dest="verb", required=True, prog="qcrel",
+        parser_class=lambda **kw: argparse.ArgumentParser(**kw) if kw["add_help"] else None)
     for verb, (help_text, _) in _VERBS.items():
         named = argv is None or verb in argv
-        p = sub.add_parser(verb, help=help_text, formatter_class=formatter, add_help=named)
-        if named:
+        if p := sub.add_parser(verb, help=help_text, formatter_class=formatter, add_help=named):
             _add_arguments(p, verb)
     return parser
 
@@ -236,7 +237,19 @@ def _cmd_check_relation(args) -> int:
 
 def _cmd_run(args) -> int:
     first, _, marked, instance, run = _RUN_VERBS[args.verb]
-    pair_in = _parse_pair_argument(getattr(args, f"pair{first}"), getattr(args, f"recode{first}"))
+    spec_in = getattr(args, f"pair{first}")
+    (g, h), (g_b, h_b) = map(groupoids.parse_pair_groups, (spec_in, args.pairB))
+    # A pair holds up to about 1.2 kB per element (its recodings, complementarity check and
+    # classical states), 32 times the 36 bytes of a table entry or a state's pair, so an element
+    # counts 32 rows.  The push reads G's and H_B's tables and starts from |H| * |H_B| pairs;
+    # the search also builds an |H|^2 reflection and its converse.
+    rows = (32 * (g.order * h.order + g_b.order * h_b.order) + g.order ** 2 + h_b.order ** 2
+            + h.order * h_b.order + (2 * h.order ** 2 if args.verb == "grover" else 0))
+    if rows > _SIZE_LIMIT:
+        raise ValueError(f"{args.verb} run pair({g.spec()},{h.spec()}) -> "
+                         f"pair({g_b.spec()},{h_b.spec()}) is too large to hold: it takes "
+                         f"{rows} rows, above the limit of {_SIZE_LIMIT}")
+    pair_in = _parse_pair_argument(spec_in, getattr(args, f"recode{first}"))
     pair_b = _parse_pair_argument(args.pairB, args.recodeB)
     f = parse_relation_file(args.oracle, pair_in.z, pair_b.z)
     sigma = (_sigma_state(pair_b, args.sigma),) if marked else ()

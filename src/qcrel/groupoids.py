@@ -537,12 +537,17 @@ def parse_groupoid_spec(text: str) -> Groupoid:
 _PAIR_SPEC = re.compile(r"^pair\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 
 
-def parse_pair_spec(text: str) -> ComplementaryPair:
-    """Parse ``pair(G,H)`` where G and H are group specs, e.g. ``pair(Z2,Z2)``."""
+def parse_pair_groups(text: str) -> tuple[AbelianGroup, AbelianGroup]:
+    """The groups G and H of a ``pair(G,H)`` spec, with no pair built."""
     m = _PAIR_SPEC.fullmatch(text.strip())
     if not m:
         raise ValueError(f"malformed pair spec {text!r}: expected pair(G,H)")
-    return make_complementary_pair(parse_group_spec(m.group(1)), parse_group_spec(m.group(2)))
+    return parse_group_spec(m.group(1)), parse_group_spec(m.group(2))
+
+
+def parse_pair_spec(text: str) -> ComplementaryPair:
+    """Parse ``pair(G,H)`` where G and H are group specs, e.g. ``pair(Z2,Z2)``."""
+    return make_complementary_pair(*parse_pair_groups(text))
 
 
 def _first_bad_position(text: str, allow_caret: bool) -> int:

@@ -195,13 +195,25 @@ class TestHostileRelationFiles:
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
+# Runs the CLI on the arguments given, with no size limit.
+UNLIMITED_CLI = """
+import sys
+from qcrel import cli
+cli._SIZE_LIMIT = float("inf")
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestOutOfMemory:
     def test_pair_too_large_to_hold_is_input_error(self, tmp_path):
-        # Nothing refuses this pair before its recoding and block index are
-        # built, and those outgrow the capped address space.
+        # With the size limit lifted, nothing refuses this pair before its
+        # recoding and block index are built, and those outgrow the capped
+        # address space.
         path = write_rel(tmp_path, identity(4))
-        proc = run_cli(["dj", "--pairA", "pair(Z1,Z3000000)", "--pairB", "pair(Z2,Z2)",
-                        "--oracle", path], timeout=120, preexec_fn=cap_address_space)
+        proc = subprocess.run(
+            [sys.executable, "-c", UNLIMITED_CLI, "dj", "--pairA", "pair(Z1,Z3000000)",
+             "--pairB", "pair(Z2,Z2)", "--oracle", path],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: out of memory: the input is too large to hold\n")
 
@@ -440,12 +452,22 @@ class TestParserPerVerb:
     def test_enumerate_builds_only_its_arguments(self):
         parsers = verb_parsers(cli._build_parser(["enumerate", "--from", "Z2", "--to", "Z2"]))
         assert list(parsers) == VERBS
-        for verb, p in parsers.items():
-            flags = [a.option_strings for a in p._actions]
-            if verb == "enumerate":
-                assert flags == [["-h", "--help"], ["--from"], ["--to"], ["--budget"], ["--json"]]
-            else:
-                assert flags == []
+        assert [a.option_strings for a in parsers["enumerate"]._actions] == [
+            ["-h", "--help"], ["--from"], ["--to"], ["--budget"], ["--json"]]
+        assert [verb for verb, p in parsers.items() if p is not None] == ["enumerate"]
+
+    @pytest.mark.parametrize("argv,built", [
+        (["enumerate", "--from", "Z2", "--to", "Z2"], 2), (["dj", "--help"], 2),
+        (["--help"], 1), (None, 1 + len(VERBS)),
+    ])
+    def test_parsers_built_per_call(self, argv, built, monkeypatch):
+        # The top parser, and one per verb the argv names.
+        inits = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: inits.append(self) or init(self, *a, **kw))
+        cli._build_parser(argv)
+        assert len(inits) == built
 
     def test_given_prefix_is_the_one_argparse_formats(self):
         # The full parser passes the same prefix as the per-verb one, so the
@@ -625,6 +647,45 @@ class TestEnumeratePairBudget:
         assert main(["enumerate", "--from", "Z2^2", "--to", "Z2^2", "--budget", "15"]) == 1
         assert capsys.readouterr().err == (
             "error: census has 4^2 = 16 classical relations, beyond the budget of 15\n")
+
+
+class TestRunBudget:
+    """A run whose pairs and tables would take more than ``_SIZE_LIMIT`` rows
+    (32 per pair element, |G|^2 and |H_B|^2 for the tables the push reads,
+    |H| * |H_B| for the prepared state and, for the search, 2 * |H|^2 for the
+    reflection and its converse) is refused before either pair is built."""
+
+    @pytest.mark.parametrize("verb,pair_in,rows", [
+        ("dj", "pair(Z1,Z3000000)", 32 * (3000000 + 4) + 1 + 4 + 3000000 * 2),
+        ("grover", "pair(Z1,Z2000)", 32 * (2000 + 4) + 1 + 4 + 2000 * 2 + 2 * 2000 ** 2),
+        ("homid", "pair(Z3000,Z1)", 32 * (3000 + 4) + 3000 ** 2 + 4 + 1 * 2),
+    ])
+    def test_oversized_run_is_input_error(self, verb, pair_in, rows, tmp_path):
+        # The file does not exist: it is never opened.
+        first, sigma = ("A", []) if verb == "dj" else ("S", ["--sigma", "0"])
+        proc = run_cli([verb, f"--pair{first}", pair_in, "--pairB", "pair(Z2,Z2)", *sigma,
+                        "--oracle", str(tmp_path / "missing.json")],
+                       timeout=60, preexec_fn=cap_address_space)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: {verb} run {pair_in} -> pair(Z2,Z2) is too large to hold: it takes "
+                   f"{rows} rows, above the limit of {1 << 22}\n")
+
+    @pytest.mark.parametrize("verb,rows", [("dj", 268), ("grover", 276), ("homid", 268)])
+    def test_limit_is_inclusive(self, verb, rows, tmp_path, monkeypatch, capsys):
+        # pair(Z2,Z2) -> pair(Z2,Z2): 32 * 8 + 2^2 + 2^2 + 2 * 2 = 268 rows, and
+        # 2 * 2^2 more for the search.
+        path = write_rel(tmp_path, identity(4))
+        first, sigma = ("A", []) if verb == "dj" else ("S", ["--sigma", "0"])
+        argv = [verb, f"--pair{first}", "pair(Z2,Z2)", "--pairB", "pair(Z2,Z2)", "--oracle", path,
+                *sigma, "--json"]
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", rows)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == verb
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", rows - 1)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {verb} run pair(Z2,Z2) -> pair(Z2,Z2) is too "
+                                           f"large to hold: it takes {rows} rows, above the "
+                                           f"limit of {rows - 1}\n")
 
 
 class TestReportGoldens:
