@@ -172,15 +172,15 @@ def _sigma_state(pair: ComplementaryPair, index: int):
     return states[index]
 
 
-# The most rows or pairs a verb builds; ``verify-structure`` fits Z128 (2.1 million rows).
+# The most rows or pairs a verb builds; ``verify-structure`` fits Z160 (4.1 million rows).
 _SIZE_LIMIT = 1 << 22
 
 
 def _cmd_verify_structure(args) -> int:
     z = parse_groupoid_spec(args.groupoid)
-    # The multiplication's n^2 rows, and |G|^3 for the laws of the one distinct
-    # copy: every copy of a groupoid restricts to the same group.
-    rows = z.size ** 2 + z.base.order ** 3
+    # The laws are checked on one copy of G: its |G|^2 multiplication rows,
+    # and |G|^3 for the composites.
+    rows = z.base.order ** 2 + z.base.order ** 3
     if rows > _SIZE_LIMIT:
         raise ValueError(f"groupoid {z.spec()} is too large to check: its laws take {rows} "
                          f"rows, above the limit of {_SIZE_LIMIT}")

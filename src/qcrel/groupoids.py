@@ -11,14 +11,17 @@ classes), glued by the canonical recoding that sends the Z-label
 (copy i, group element g) to the X-label (copy flat(g), element i).
 
 Arithmetic is by table: a group builds its Cayley and negation tables on
-first use, and a groupoid caches its structure relations.  The controlled
-relation of Z's comultiplication, a blackbox f and X's multiplication has one
-construction: f's pairs indexed by block (a Z-copy times an X-copy).  The
-index pushes a state through the relation, decides its bijectivity without
-building it, and expands it whole when pushed the identity.  Complementarity
-is that bijectivity for f = identity: every Z-copy meets every X-copy in
-exactly one element.  A pair decides it once, when it is built, in O(n) and
-without any table.
+first use, and a groupoid caches its structure relations.  A groupoid is the
+direct sum of its copies, so its classical-structure laws are decided on one
+copy of G, whatever the number of copies.
+
+The controlled relation of Z's comultiplication, a blackbox f and X's
+multiplication has one construction: f's pairs indexed by block (a Z-copy
+times an X-copy).  The index pushes a state through the relation, decides
+its bijectivity without building it, and expands it whole when pushed the
+identity.  Complementarity is that bijectivity for f = identity: every Z-copy
+meets every X-copy in exactly one element.  A pair decides it once, when it
+is built, in O(n) and without any table.
 """
 
 from __future__ import annotations
@@ -229,64 +232,18 @@ def check_structure_laws(mult: FinRel, unit: StateVec) -> LawReport:
 
 def verify_classical_structure(z: Groupoid) -> LawReport:
     """Check that the groupoid's multiplication and unit form a classical
-    structure: ``check_structure_laws`` once per distinct copy, in
-    O(n^2 + |G|^3) rows instead of the full composites' O(n^3).
+    structure: ``check_structure_laws`` on one copy of its group G, in
+    O(|G|^3) rows whatever the number of copies.
 
     A groupoid is the direct sum of its copies (Heunen-Contreras-Cattaneo,
-    arXiv:1112.1284), and so are the two sides of every law.  Proof.  Let
-    the multiplication M relate only pairs (a, b) within one copy K, into K,
-    and write M_K and u_K for the restrictions of M and of the unit u to K.
-    Each side of a law relates x to y only through a chain of M-steps, and
-    every M-step stays in one copy, so every element of x and y lies in one
-    copy K.  Coassociative: a -> (d, e, c) with b.c = a and d.e = b.
-    Frobenius: (a, b) -> (e, d) with c.d = b and a.c = e, or its mirror.
-    Special: a -> d with b.c = a and b.c = d.  Counital: a -> c with
-    b.c = a for some b in u; such a b lies in a's copy, so in u_K, and the
-    units of the other copies contribute nothing.  Symmetric: the state of
-    the (b, c) with b.c in u, swapped or not; b.c in u lies in b's copy, so
-    in u_K.  The identity is also a union of per-copy pieces.  So each side
-    is the disjoint union over K of that side built from (M_K, u_K), on
-    K's elements only; two such unions are equal iff they are equal piece
-    by piece, and shifting K to [0, |G|) preserves equality.  A law holds
-    iff it holds on every restriction, and equal restrictions give equal
-    verdicts.  A one-copy groupoid goes to the full composites directly.
+    arXiv:1112.1284).  Every product stays in one copy, and so does the unit
+    an element meets, so every side of every law is the disjoint union over
+    the copies of that side built on one copy alone.  Each copy's
+    restriction, shifted to [0, |G|), is the one-copy groupoid of G.  So the
+    laws hold on z iff they hold on G.
     """
-    return _check_laws_by_copy(z.mult_rel, z.unit_state(), z.base.order)
-
-
-def _check_laws_by_copy(mult: FinRel, unit: StateVec, m: int) -> LawReport:
-    """``check_structure_laws(mult, unit)`` by the copies of size ``m``, as
-    ``verify_classical_structure`` proves it; a relation of one copy, or one
-    with a product outside the copies, goes to the full composites."""
-    n, rows = mult.cod_size, mult.rows
-    if not (m < n and n % m == 0 and mult.dom_size == n * n and unit.space_size == n
-            and _block_diagonal(rows, n, m)):
-        return check_structure_laws(mult, unit)
-    units: dict[int, list[int]] = {}
-    for e in unit.members:
-        units.setdefault(e // m, []).append(e % m)
-    restrictions = {
-        (tuple(tuple(c - lo for c in row) for x in range(lo, lo + m)
-               for row in rows[x * n + lo:x * n + lo + m]),
-         frozenset(units.get(lo // m, ())))
-        for lo in range(0, n, m)}
-    reports = [check_structure_laws(FinRel._trusted(m * m, m, block), StateVec(m, members))
-               for block, members in restrictions]
-    return LawReport(*map(all, zip(*(r.as_dict().values() for r in reports))))
-
-
-def _block_diagonal(rows: Sequence[tuple[int, ...]], n: int, m: int) -> bool:
-    """Whether the n^2 rows of a multiplication relate only pairs within one
-    copy of size m, into that copy: outside the copies' blocks every row is
-    empty, and inside each block every sorted row lands in the block's copy."""
-    for a in range(n):
-        lo, start = a - a % m, a * n
-        if any(rows[start:start + lo]) or any(rows[start + lo + m:start + n]):
-            return False
-        if any(row and (row[0] < lo or row[-1] >= lo + m)
-               for row in rows[start + lo:start + lo + m]):
-            return False
-    return True
+    g = z if z.copies == 1 else Groupoid(z.base)
+    return check_structure_laws(g.mult_rel, g.unit_state())
 
 
 def _canonical_recode(g_order: int, h_order: int) -> tuple[int, ...]:
@@ -349,9 +306,9 @@ class ComplementaryPair:
 
     @cached_property
     def _x_classical_states(self) -> tuple[StateVec, ...]:
-        inverse = self.x_recode_inverse
-        return tuple(StateVec(self.size, (inverse[m] for m in s.members))
-                     for s in self.x.classical_states())
+        # X-copy l holds X-codes [l*|H|, (l+1)*|H|); recode them back.
+        inverse, n, m = self.x_recode_inverse, self.size, self.h.order
+        return tuple(StateVec(n, inverse[l * m:(l + 1) * m]) for l in range(self.g.order))
 
     @cached_property
     def _x_classical_set(self) -> frozenset[StateVec]:

@@ -9,7 +9,6 @@ from qcrel.groupoids import (
     AbelianGroup,
     ComplementaryPair,
     Groupoid,
-    _check_laws_by_copy,
     check_structure_laws,
     cnot,
     fourier_rel,
@@ -160,7 +159,7 @@ def block_pairs(z):
 
 
 class TestLawsByCopy:
-    """``verify_classical_structure`` checks each distinct copy once; the full
+    """``verify_classical_structure`` checks one copy of G; the full
     composites over the whole groupoid are the reference."""
 
     @pytest.mark.parametrize("spec", LAW_SPECS)
@@ -189,14 +188,13 @@ class TestLawsByCopy:
     ])
     def test_block_diagonal_mutants(self, spec, laws):
         # Each mutant adds or drops one product inside one copy, so it breaks
-        # a law in that copy only, and the per-copy path decides it.
+        # a law in that copy, and the full composites see it.
         z = parse_groupoid_spec(spec)
-        mult, unit, m = z.mult_rel, z.unit_state(), z.base.order
+        mult, unit = z.mult_rel, z.unit_state()
         broken = set()
         for pair in block_pairs(z):
-            mutant = toggled(mult, pair)
-            report = _check_laws_by_copy(mutant, unit, m)
-            assert report == check_structure_laws(mutant, unit), pair
+            report = check_structure_laws(toggled(mult, pair), unit)
+            assert not report.all_ok, pair
             broken |= {law for law, ok in report.as_dict().items() if not ok}
         assert broken == laws
 
@@ -208,43 +206,35 @@ class TestLawsByCopy:
         mult, unit = z.mult_rel, z.unit_state()
         broken = set()
         for e in range(z.size):
-            mutant = StateVec(z.size, unit.members ^ {e})
-            report = _check_laws_by_copy(mult, mutant, z.base.order)
-            assert report == check_structure_laws(mult, mutant), e
+            report = check_structure_laws(mult, StateVec(z.size, unit.members ^ {e}))
+            assert not report.all_ok, e
             broken |= {law for law, ok in report.as_dict().items() if not ok}
         assert broken == {"counital"}
 
     def test_products_across_copies_go_to_full_composites(self):
         z = parse_groupoid_spec("Z2^2")
         for pair in [(0 * 4 + 2, 0), (1 * 4 + 1, 3), (2 * 4 + 3, 0)]:
-            mutant = toggled(z.mult_rel, pair)
-            report = _check_laws_by_copy(mutant, z.unit_state(), 2)
-            assert report == check_structure_laws(mutant, z.unit_state())
-            assert not report.all_ok
+            assert not check_structure_laws(toggled(z.mult_rel, pair), z.unit_state()).all_ok
 
     def test_unit_state_of_another_size_is_refused(self):
         z = parse_groupoid_spec("Z2^2")
         with pytest.raises(ValueError, match="unit lives on 2 elements"):
-            _check_laws_by_copy(z.mult_rel, StateVec(2, [0]), 2)
+            check_structure_laws(z.mult_rel, StateVec(2, [0]))
 
-    @given(st.sampled_from([[1], [2], [3], [4], [2, 2]]), st.integers(1, 4), st.data())
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=2), st.integers(1, 4))
     @settings(max_examples=150, deadline=None)
-    def test_one_pair_mutants(self, orders, copies, data):
+    def test_random_groupoids_equal_full_composites(self, orders, copies):
         z = Groupoid(AbelianGroup(orders), copies)
-        n = z.size
-        mult, unit = z.mult_rel, z.unit_state()
-        if data.draw(st.booleans(), label="inside a copy"):
-            pair = data.draw(st.sampled_from(block_pairs(z)), label="product")
-        else:
-            pair = (data.draw(st.integers(0, n * n - 1)), data.draw(st.integers(0, n - 1)))
-        mult = toggled(mult, pair)
-        if data.draw(st.booleans(), label="mutate the unit"):
-            unit = StateVec(n, unit.members ^ {data.draw(st.integers(0, n - 1))})
-        assert _check_laws_by_copy(mult, unit, z.base.order) == check_structure_laws(mult, unit)
+        assert verify_classical_structure(z) == structure_laws(z)
 
     def test_many_copies(self):
         # 256 elements: the full composites would build 256^3-row relations.
         assert verify_classical_structure(parse_groupoid_spec("Z2^128")).all_ok
+
+    def test_multiplication_of_many_copies_is_not_built(self):
+        z = parse_groupoid_spec("Z2^64")
+        assert verify_classical_structure(z).all_ok
+        assert "mult_rel" not in vars(z)
 
 
 class TestComplementaryPair:
@@ -261,6 +251,17 @@ class TestComplementaryPair:
         fresh = parse_pair_spec("pair(Z2,Z3)")
         assert fresh.x_classical_states() is not pair.x_classical_states()
         assert fresh.x_classical_states() == pair.x_classical_states()
+
+    def test_x_classical_states_are_the_recoded_x_copies(self):
+        g = AbelianGroup([2])
+        for recode in itertools.permutations(range(4)):
+            pair = ComplementaryPair(g, g, x_recode=recode)
+            states = pair.x_classical_states()
+            # Built from the recoding, not from X's own classical states.
+            assert "_classical_states" not in vars(pair.x)
+            inverse = pair.x_recode_inverse
+            assert states == tuple(StateVec(4, (inverse[m] for m in s.members))
+                                   for s in pair.x.classical_states())
 
     def test_z2_z1_degenerate_side(self):
         pair = parse_pair_spec("pair(Z2,Z1)")
