@@ -1,8 +1,9 @@
 """The three single-query blackbox algorithms, run possibilistically.
 
-Each runner pushes the prepared state through each stage of the relational
-pipeline (oracle, reflection, post-selection) exactly, without building the
-stage, evaluates every candidate measurement outcome, and returns a report.
+Each runner evaluates the relational pipeline (oracle, reflection,
+post-selection) exactly, without building a stage: the second system's
+marker is X-classical, so the query kicks back onto the first system.  It
+evaluates every candidate measurement outcome and returns a report.
 Because the model is possibilistic, a run does not sample: the report
 carries the complete set of possible outcomes.
 
@@ -107,32 +108,16 @@ def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: St
     ``effects`` are X-classical states of ``pair_in``, or for the search the
     pair's ``_reflected_effects``: the reflection folded into each candidate's
     effect.  Returns the oracle, as the block index of f that ``build_oracle``
-    would expand, and one composite per effect.  No stage is built: the
-    prepared state is pushed through the oracle, so the composites are those
-    of the built pipeline.  f is used unchecked because the instance has
-    already run the classical-relation check it asked for.
+    would expand, and one composite per effect.  No stage is built and no
+    state is pushed: the oracle sends prepared x marker to K x marker
+    (``_ControlledBlocks.kickback``), so each composite is the marker's ket
+    when its effect meets K and empty otherwise.  f is used unchecked because
+    the instance has already run the classical-relation check it asked for.
     """
     oracle = _ControlledBlocks(pair_in.z, f.rel, pair_out.x, pair_out.x_recode)
-    prepared = pair_in.x_classical_states()[0]
-    evolved = oracle.push(tensor(prepared.as_ket(), marker.as_ket()), pair_out.x_recode_inverse)
-    return oracle, _post_select(evolved, effects, pair_out.size)
-
-
-def _post_select(state: FinRel, effects: list[StateVec], m: int) -> list[FinRel]:
-    """``then(state, tensor(rho.as_bra(), identity(m)))`` for every rho in
-    ``effects``, in one pass over ``state``: its targets (x, v) are grouped by
-    x once, and each effect's row is the union of the groups its members hold.
-    """
-    grouped = []
-    for row in state.rows:
-        by_x: dict[int, list[int]] = {}
-        for a in row:
-            x, v = divmod(a, m)
-            by_x.setdefault(x, []).append(v)
-        grouped.append(by_x)
-    return [FinRel._trusted(state.dom_size, m, tuple(
-        tuple(sorted({v for x in rho.members if x in by_x for v in by_x[x]}))
-        for by_x in grouped)) for rho in effects]
+    kept = oracle.kickback(pair_in.x_classical_states()[0], marker, pair_out)
+    hit, miss = marker.as_ket(), FinRel._trusted(1, pair_out.size, ((),))
+    return oracle, [miss if kept.isdisjoint(rho.members) else hit for rho in effects]
 
 
 @_frozen
@@ -186,7 +171,7 @@ def dj_run(inst: DJInstance) -> RunReport:
     h0a = pair_a.x_classical_states()[0]
     h1b = pair_b.x_classical_states()[1]
     oracle, (composite,) = _single_query(pair_a, pair_b, f, h1b, [h0a])
-    b_out = StateVec(nb, composite.image({0}))
+    b_out = h1b if composite.rows[0] else StateVec(nb)
     composite_scalar = born_scalar(h1b, b_out)
 
     formula_members = h1b.members & inst.f.rel.image(h0a.members)
@@ -205,7 +190,7 @@ def dj_run(inst: DJInstance) -> RunReport:
 
     if all(p.g.order == p.h.order for p in (pair_a, pair_b)):
         # g0a x g1b, then ft_a x ft_b, the oracle, converse(ft_a) and g0a's effect;
-        # the last two make a_state's effect, applied here apart from _post_select.
+        # the last two make a_state's effect.  The push cross-checks the kickback.
         a_state = then(pair_a.z.classical_states()[0].as_ket(), fourier_rel(pair_a))
         b_state = then(pair_b.z.classical_states()[1].as_ket(), fourier_rel(pair_b))
         (pushed,) = oracle.push(tensor(a_state, b_state), pair_b.x_recode_inverse).rows
@@ -411,4 +396,4 @@ def grouphomid_run(inst: HomIDInstance) -> RunReport:
     pulled_back = inst.f.rel.preimage(inst.sigma.members)
     return _candidate_run("homid", inst, inst.pair_g, inst.pair_a,
                           "witness", _witness(inst, pulled_back), True,
-                          verification=StateVec(inst.f.rel.dom_size, pulled_back))
+                          verification=StateVec._trusted(inst.f.rel.dom_size, pulled_back))

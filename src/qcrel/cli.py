@@ -14,8 +14,8 @@ is accepted and ignored; enumeration is single-threaded.  Exit codes: 0 ok,
 1 input error (an input too large to hold in memory included), 2 verification
 property violated.
 
-Each process parses a spec once: ``parse_groupoid_spec`` and
-``parse_pair_spec`` here are bounded caches (128 specs each) of the
+Each process parses a spec once: ``parse_groupoid_spec``, ``parse_pair_spec``
+and ``parse_pair_groups`` here are bounded caches (128 specs each) of the
 ``groupoids`` parsers over frozen values, so ``main`` calls share a pair and
 all it keeps; a failed parse is not cached, and an explicit recoding builds a
 pair per call.  Each ``main`` call builds a parser only for the verbs its
@@ -58,6 +58,7 @@ from .hom_relations import (
 
 parse_groupoid_spec = lru_cache(maxsize=128)(groupoids.parse_groupoid_spec)
 parse_pair_spec = lru_cache(maxsize=128)(groupoids.parse_pair_spec)
+parse_pair_groups = lru_cache(maxsize=128)(groupoids.parse_pair_groups)
 
 
 def parse_relation_file(path: str | os.PathLike, source: Groupoid, target: Groupoid) -> StructuredRel:
@@ -238,7 +239,7 @@ def _cmd_check_relation(args) -> int:
 def _cmd_run(args) -> int:
     first, _, marked, instance, run = _RUN_VERBS[args.verb]
     spec_in = getattr(args, f"pair{first}")
-    (g, h), (g_b, h_b) = map(groupoids.parse_pair_groups, (spec_in, args.pairB))
+    (g, h), (g_b, h_b) = map(parse_pair_groups, (spec_in, args.pairB))
     # A pair holds up to about 1.2 kB per element (its recodings, complementarity check and
     # classical states), 32 times the 36 bytes of a table entry or a state's pair, so an element
     # counts 32 rows.  The push reads G's and H_B's tables and starts from |H| * |H_B| pairs;
@@ -283,11 +284,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        print("error: out of memory: the input is too large to hold", file=sys.stderr)
-        return 1
+        pass  # reported below, once the traceback and the frames it holds are freed
     except AssertionError as exc:
         print(f"error: verification property violated: {exc}", file=sys.stderr)
         return 2
+    print("error: out of memory: the input is too large to hold", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

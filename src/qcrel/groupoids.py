@@ -17,8 +17,9 @@ copy of G, whatever the number of copies.
 
 The controlled relation of Z's comultiplication, a blackbox f and X's
 multiplication has one construction: f's pairs indexed by block (a Z-copy
-times an X-copy).  The index pushes a state through the relation, decides
-its bijectivity without building it, and expands it whole when pushed the
+times an X-copy).  The index pushes a state through the relation, kicks a
+query with an X-classical marker back onto the first system, decides its
+bijectivity without building it, and expands it whole when pushed the
 identity.  Complementarity is that bijectivity for f = identity: every Z-copy
 meets every X-copy in exactly one element.  A pair decides it once, when it
 is built, in O(n) and without any table.
@@ -168,7 +169,8 @@ class Groupoid:
     @cached_property
     def _classical_states(self) -> tuple[StateVec, ...]:
         n = self.base.order
-        return tuple(StateVec(self.size, range(i * n, (i + 1) * n)) for i in range(self.copies))
+        return tuple(StateVec._trusted(self.size, frozenset(range(i * n, (i + 1) * n)))
+                     for i in range(self.copies))
 
     def unbiased_states(self) -> list[StateVec]:
         n = self.base.order
@@ -308,7 +310,8 @@ class ComplementaryPair:
     def _x_classical_states(self) -> tuple[StateVec, ...]:
         # X-copy l holds X-codes [l*|H|, (l+1)*|H|); recode them back.
         inverse, n, m = self.x_recode_inverse, self.size, self.h.order
-        return tuple(StateVec(n, inverse[l * m:(l + 1) * m]) for l in range(self.g.order))
+        return tuple(StateVec._trusted(n, frozenset(inverse[l * m:(l + 1) * m]))
+                     for l in range(self.g.order))
 
     @cached_property
     def _x_classical_set(self) -> frozenset[StateVec]:
@@ -329,7 +332,7 @@ class ComplementaryPair:
         post-selecting on rho after d is post-selecting on converse(d)'s image
         of rho before.  Built once per pair."""
         back = converse(self._h0_reflection[0])
-        return tuple(StateVec(self.size, back.image(rho.members))
+        return tuple(StateVec._trusted(self.size, back.image(rho.members))
                      for rho in self._x_classical_states)
 
     @cached_property
@@ -399,6 +402,29 @@ class _ControlledBlocks:
         """
         return (len(self.blocks) == self.z.copies * self.x.copies
                 and all(len(pairs) == 1 for pairs in self.blocks.values()))
+
+    def kickback(self, state: StateVec, marker: StateVec,
+                 pair: ComplementaryPair) -> frozenset[int]:
+        """The set K that ``push`` sends state x marker to K x marker with,
+        for ``marker`` X-classical in ``pair``, whose X-basis and recoding
+        built this index: K = {s.b^-1 : s in state, (b, c) in f, b in s's
+        Z-copy, c in the marker's X-copy}.
+
+        Proof.  The marker is an X-copy L under the recoding.  Source (s, y),
+        y in L, gets one target (s.b^-1, c*y) for each pair (b, c) in the
+        block (s's Z-copy, L), and no other.  As y runs over L, so does c*y,
+        a translation of the group L; so the image is K x L, whatever f and
+        the recoding, and post-selecting the first system on any effect rho
+        leaves L when rho meets K and nothing otherwise.  K costs one block
+        lookup per member of the state and reads no X table.
+        """
+        if marker not in pair._x_classical_set:
+            raise ValueError("the marker must be a classical state of the second system's X-basis")
+        n, l = self.z.base.order, self.recode[next(iter(marker.members))] // self.x.base.order
+        z_add, z_neg = self.z.base.add_table, self.z.base.neg_table
+        return frozenset(k * n + z_add[i][z_neg[b_z]]
+                         for k, i in (divmod(s, n) for s in state.members)
+                         for b_z, _ in self.blocks.get((k, l), ()))
 
     def push(self, state: FinRel, inverse: Sequence[int]) -> FinRel:
         """``then(state, R)`` for the controlled relation R, reading only the

@@ -220,6 +220,13 @@ class StateVec:
                 raise ValueError(f"member {m} out of range for a {space_size}-element space")
         vars(self).update(space_size=int(space_size), members=mem)
 
+    @classmethod
+    def _trusted(cls, space_size: int, members: frozenset[int]) -> "StateVec":
+        """Build from a positive size and a frozenset of in-range members, unchecked."""
+        state = object.__new__(cls)
+        vars(state).update(space_size=space_size, members=members)
+        return state
+
     def as_ket(self) -> FinRel:
         """The relation {*} -> H selecting this subset."""
         return FinRel._trusted(1, self.space_size, (tuple(sorted(self.members)),))

@@ -69,6 +69,25 @@ def finrel_from_json_dict(payload, check_sizes=None):
     return FinRel(dom, cod, seen)
 
 
+def post_select(state, effects, m):
+    """``then(state, tensor(rho.as_bra(), identity(m)))`` for every rho in
+    ``effects``, in one pass over ``state``: its targets (x, v) are grouped by
+    x once, and each effect's row is the union of the groups its members hold.
+    This is the engine the runs used before the kickback: with
+    ``_ControlledBlocks.push`` it evaluates any single query, marker or not.
+    """
+    grouped = []
+    for row in state.rows:
+        by_x = {}
+        for a in row:
+            x, v = divmod(a, m)
+            by_x.setdefault(x, []).append(v)
+        grouped.append(by_x)
+    return [FinRel._trusted(state.dom_size, m, tuple(
+        tuple(sorted({v for x in rho.members if x in by_x for v in by_x[x]}))
+        for by_x in grouped)) for rho in effects]
+
+
 def structure_laws(z):
     """The five laws of a groupoid decided by the full composites over all
     its n elements: ``check_structure_laws`` of its multiplication and unit."""

@@ -11,7 +11,7 @@ from qcrel.algorithms import (
     DJInstance,
     GroverInstance,
     HomIDInstance,
-    _post_select,
+    _single_query,
     dj_classify,
     dj_run,
     grouphomid_necessary,
@@ -41,6 +41,7 @@ from qcrel.relations import (
     tensor,
     then,
 )
+from reference import post_select
 
 
 P22 = parse_pair_spec("pair(Z2,Z2)")
@@ -51,6 +52,17 @@ Z3 = parse_groupoid_spec("Z3")
 # Canonical pairs of up to 12 elements, square or not, with one or two cyclic factors.
 GROUPS = st.builds(AbelianGroup, st.lists(st.integers(1, 3), min_size=1, max_size=2))
 PAIRS = st.builds(ComplementaryPair, GROUPS, GROUPS).filter(lambda p: p.size <= 12)
+# The same pairs, each canonical or under a random recoding, complementary or not.
+RECODED_PAIRS = PAIRS.flatmap(lambda p: st.one_of(st.just(p), st.permutations(range(p.size)).map(
+    lambda perm: ComplementaryPair(p.g, p.h, x_recode=perm))))
+
+
+def random_relations(n, m):
+    """Relations n -> m, classical or not: empty, full, or a random set of pairs."""
+    cells = [(a, b) for a in range(n) for b in range(m)]
+    return st.one_of(st.just(empty(n, m)), st.just(full(n, m)),
+                     st.sets(st.sampled_from(cells), max_size=2 * n).map(lambda p: FinRel(n, m, p)))
+
 
 def grover_opposite_mapping(inst, rho):
     """The all-quantified opposite-mapping predicate: every rho element maps
@@ -450,17 +462,13 @@ class TestPushedPipelineMatchesBuiltReference:
     @given(PAIRS, PAIRS, st.data())
     @settings(max_examples=60, deadline=None)
     def test_unchecked_blackboxes_on_random_shapes(self, pair_in, pair_out, data):
-        n, m = pair_in.size, pair_out.size
-        cells = [(a, b) for a in range(n) for b in range(m)]
-        rel = data.draw(st.one_of(
-            st.just(empty(n, m)), st.just(full(n, m)),
-            st.sets(st.sampled_from(cells), max_size=2 * n).map(lambda p: FinRel(n, m, p))))
+        rel = data.draw(random_relations(pair_in.size, pair_out.size))
         sigma_index = data.draw(st.integers(0, len(pair_out.x_classical_states()) - 1))
         assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=True)
 
 
-# The per-candidate post-selection the one pass replaced: each effect's bra,
-# tensored with the identity, applied to the whole state.
+# The per-candidate post-selection that the one pass of ``reference.post_select``
+# replaced: each effect's bra, tensored with the identity, applied to the whole state.
 
 def reference_post_select(state, effects, m):
     return [then(state, tensor(rho.as_bra(), identity(m))) for rho in effects]
@@ -481,9 +489,60 @@ class TestOnePassPostSelection:
         missed = set(range(n)) - {a // m for row in rows for a in row}
         if missed:
             effects.append(StateVec(n, missed))
-        assert _post_select(state, effects, m) == reference_post_select(state, effects, m)
+        assert post_select(state, effects, m) == reference_post_select(state, effects, m)
 
     def test_effect_meeting_nothing_gives_empty_rows(self):
         state = FinRel(1, 6, [(0, 0), (0, 2)])
         effects = [StateVec(2, [0]), StateVec(2, [1])]
-        assert _post_select(state, effects, 3) == [FinRel(1, 3, [(0, 0), (0, 2)]), FinRel(1, 3)]
+        assert post_select(state, effects, 3) == [FinRel(1, 3, [(0, 0), (0, 2)]), FinRel(1, 3)]
+
+
+class TestKickback:
+    """The runs' kickback against the engine it replaced: the prepared state
+    and the marker pushed through the oracle's block index, then
+    post-selected on the first system."""
+
+    @given(RECODED_PAIRS, RECODED_PAIRS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_push_and_post_select(self, pair_in, pair_out, data):
+        n, m = pair_in.size, pair_out.size
+        f = StructuredRel(data.draw(random_relations(n, m)), pair_in.z, pair_out.z)
+        effects = [StateVec(n, members) for members in data.draw(
+            st.lists(st.sets(st.integers(0, n - 1)), max_size=4))]
+        effects += pair_in.x_classical_states() + pair_in._reflected_effects
+        prepared = pair_in.x_classical_states()[0]
+        state = data.draw(st.one_of(st.just(prepared), st.sets(st.integers(0, n - 1)).map(
+            lambda members: StateVec(n, members))))
+        for marker in pair_out.x_classical_states():
+            oracle, composites = _single_query(pair_in, pair_out, f, marker, effects)
+            (pushed,) = oracle.push(tensor(prepared.as_ket(), marker.as_ket()),
+                                    pair_out.x_recode_inverse).rows
+            assert composites == post_select(FinRel._trusted(1, n * m, (pushed,)), effects, m)
+            assert oracle.kickback(prepared, marker, pair_out) == {t // m for t in pushed}
+            # Any first-system state, not only the prepared one, is kicked back.
+            (pushed,) = oracle.push(tensor(state.as_ket(), marker.as_ket()),
+                                    pair_out.x_recode_inverse).rows
+            kept = oracle.kickback(state, marker, pair_out)
+            assert set(pushed) == {k * m + y for k in kept for y in marker.members}
+
+    def test_marker_that_is_not_x_classical_is_refused(self):
+        pair = parse_pair_spec("pair(Z2,Z2)")
+        oracle = _single_query(pair, pair, StructuredRel(identity(4), pair.z, pair.z),
+                               pair.x_classical_states()[1], [])[0]
+        with pytest.raises(ValueError, match="X-basis"):
+            oracle.kickback(pair.x_classical_states()[0], StateVec(4, [0]), pair)
+
+    @pytest.mark.parametrize("run", ["dj", "grover", "homid"])
+    def test_run_on_non_square_pair_reads_no_x_table(self, run):
+        pair_s = ComplementaryPair(AbelianGroup((2,)), AbelianGroup((2,)))
+        pair_b = ComplementaryPair(AbelianGroup((2,)), AbelianGroup((3,)))
+        rel = enumerate_classical_relations(pair_s.z, pair_b.z)[1]
+        f = StructuredRel(rel, pair_s.z, pair_b.z)
+        sigma = pair_b.x_classical_states()[1]
+        if run == "dj":
+            dj_run(DJInstance(pair_s, pair_b, f))
+        elif run == "grover":
+            grover_run(GroverInstance(pair_s, pair_b, f, sigma))
+        else:
+            grouphomid_run(HomIDInstance(pair_s, pair_b, f, sigma))
+        assert "add_table" not in vars(pair_b.x.base)

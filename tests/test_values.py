@@ -9,8 +9,9 @@ its own, and with the same constructor defaults.
 from functools import cached_property
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qcrel.algorithms import DJInstance, GroverInstance, HomIDInstance, RunReport
+from qcrel.algorithms import DJInstance, GroverInstance, HomIDInstance, RunReport, grouphomid_run
 from qcrel.groupoids import (
     AbelianGroup,
     ComplementaryPair,
@@ -260,3 +261,35 @@ def test_keyword_order_and_defaults():
     b = RunReport("dj", {}, None, (), {}, diagnostics={})
     assert (b.composites, b.queries) == ({}, 1)
     assert b.composites is not RunReport("dj", {}, None, (), {}, {}).composites
+
+
+ORDERS = st.lists(st.integers(1, 4), min_size=1, max_size=2)
+
+
+@given(ORDERS, ORDERS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_trusted_states_equal_validated(g_orders, h_orders, data):
+    """The states the package builds unchecked, from a pair under a random
+    recoding and from a run's verification preimage, equal the states that
+    ``StateVec(...)`` validates from the same members."""
+    g, h = AbelianGroup(g_orders), AbelianGroup(h_orders)
+    n = g.order * h.order
+    assume(n <= 16)
+    pair = ComplementaryPair(g, h, x_recode=data.draw(st.one_of(st.none(), st.permutations(range(n)))))
+    states = (pair.x_classical_states() + pair._reflected_effects
+              + pair.z.classical_states() + pair.x.classical_states())
+    for state in states:
+        validated = StateVec(state.space_size, state.members)
+        assert state == validated and hash(state) == hash(validated)
+        assert type(state.space_size) is int and type(state.members) is frozenset
+        assert all(type(m) is int and 0 <= m < state.space_size for m in state.members)
+    canonical = ComplementaryPair(g, h)
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    rel = FinRel(n, n, data.draw(st.sets(st.sampled_from(cells), max_size=2 * n)))
+    sigma = data.draw(st.sampled_from(canonical.x_classical_states()))
+    report = grouphomid_run(HomIDInstance(canonical, canonical, StructuredRel(
+        rel, canonical.z, canonical.z), sigma, unchecked=True))
+    verification = StateVec(n, rel.preimage(sigma.members))
+    assert report.diagnostics["verification_possible_outcomes"] == [
+        rho.sorted_members() for rho in canonical.x_classical_states()
+        if rho.members & verification.members]
