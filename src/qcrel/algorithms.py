@@ -2,10 +2,14 @@
 
 Each runner evaluates the relational pipeline (oracle, reflection,
 post-selection) exactly, without building a stage: the second system's
-marker is X-classical, so the query kicks back onto the first system.  It
-evaluates every candidate measurement outcome and returns a report.
-Because the model is possibilistic, a run does not sample: the report
-carries the complete set of possible outcomes.
+marker is X-classical, so the query kicks back onto the first system, and
+the search's reflection is folded into its effects in closed form.  That
+kickback is the only engine a run has; the staged pipelines it replaced
+are proved equal to it (in the docstrings of ``dj_run`` and
+``ComplementaryPair._reflected_effects``) and compared with it in the
+tests.  A runner evaluates every candidate measurement outcome and returns
+a report.  Because the model is possibilistic, a run does not sample: the
+report carries the complete set of possible outcomes.
 
 The raw pipeline composites are always computed and reported.  For the
 search and homomorphism-identification runners the *decision-level* outcome
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from .groupoids import ComplementaryPair, _ControlledBlocks, fourier_rel
+from .groupoids import ComplementaryPair, _ControlledBlocks
 from .hom_relations import StructuredRel, is_classical_relation
 from .relations import (
     FinRel,
@@ -27,8 +31,9 @@ from .relations import (
     StateVec,
     _frozen,
     born_scalar,
-    tensor,
-    then,
+    identity,
+    is_unitary,
+    symmetric_difference,
 )
 
 CONSTANT = "constant"
@@ -107,8 +112,8 @@ def _single_query(pair_in: ComplementaryPair, pair_out: ComplementaryPair, f: St
 
     ``effects`` are X-classical states of ``pair_in``, or for the search the
     pair's ``_reflected_effects``: the reflection folded into each candidate's
-    effect.  Returns the oracle, as the block index of f that ``build_oracle``
-    would expand, and one composite per effect.  No stage is built and no
+    effect, in closed form.  Returns the oracle, as the block index of f that
+    ``build_oracle`` would expand, and one composite per effect.  No stage is built and no
     state is pushed: the oracle sends prepared x marker to K x marker
     (``_ControlledBlocks.kickback``), so each composite is the marker's ket
     when its effect meets K and empty otherwise.  f is used unchecked because
@@ -162,16 +167,25 @@ def dj_run(inst: DJInstance) -> RunReport:
     The composite is (first X_A-classical effect x id) after the oracle after
     the (first X_A-classical x second X_B-classical) preparation; the decision
     scalar tests the second system's output against the second X_B-classical
-    state.  When both pairs are square the pre-basis-change pipeline is also
-    evaluated, measuring through the converse basis change, and must produce
-    the identical relation.
+    state.
+
+    When both pairs are square the report also carries
+    ``absorbed_equals_unabsorbed``, true by this identity, not recomputed.
+    The staged pipeline prepares g0a x g1b (the first Z_A- and second
+    Z_B-classical states), changes basis with ``fourier_rel`` on each system,
+    queries the oracle, changes back with the converse of ``fourier_rel`` on
+    the first system and measures g0a.  ``fourier_rel`` carries Z-classical
+    state k onto X-classical state k under any recoding, so the first two
+    stages prepare h0a x h1b, and the last two measure h0a: a source meets
+    g0a through the converse exactly when it lies in ``fourier_rel``'s image
+    of g0a.  That is the pipeline above, stage for stage, which
+    ``_ControlledBlocks.kickback`` evaluates; so the two composites are equal.
     """
     pair_a, pair_b, f = inst.pair_a, inst.pair_b, inst.f
-    nb = pair_b.size
     h0a = pair_a.x_classical_states()[0]
     h1b = pair_b.x_classical_states()[1]
     oracle, (composite,) = _single_query(pair_a, pair_b, f, h1b, [h0a])
-    b_out = h1b if composite.rows[0] else StateVec(nb)
+    b_out = h1b if composite.rows[0] else StateVec(pair_b.size)
     composite_scalar = born_scalar(h1b, b_out)
 
     formula_members = h1b.members & inst.f.rel.image(h0a.members)
@@ -186,21 +200,8 @@ def dj_run(inst: DJInstance) -> RunReport:
         "formula_agrees_with_composite": bool(formula_scalar) == bool(composite_scalar),
         "physical_evolution": oracle_unitary,
     }
-    composites = {"pipeline": composite}
-
     if all(p.g.order == p.h.order for p in (pair_a, pair_b)):
-        # g0a x g1b, then ft_a x ft_b, the oracle, converse(ft_a) and g0a's effect;
-        # the last two make a_state's effect.  The push cross-checks the kickback.
-        a_state = then(pair_a.z.classical_states()[0].as_ket(), fourier_rel(pair_a))
-        b_state = then(pair_b.z.classical_states()[1].as_ket(), fourier_rel(pair_b))
-        (pushed,) = oracle.push(tensor(a_state, b_state), pair_b.x_recode_inverse).rows
-        kept = set(a_state.rows[0])
-        staged = FinRel._trusted(1, nb, (tuple(sorted({t % nb for t in pushed
-                                                       if t // nb in kept})),))
-        if staged != composite:
-            raise AssertionError("basis-change pipeline disagrees with the absorbed composite")
         diagnostics["absorbed_equals_unabsorbed"] = True
-        composites["unabsorbed"] = staged
 
     classification = dj_classify(inst)
     if classification == NEITHER:
@@ -219,7 +220,7 @@ def dj_run(inst: DJInstance) -> RunReport:
         possible_outcomes=(b_out,),
         scalars={"composite": bool(composite_scalar), "formula": bool(formula_scalar)},
         diagnostics=diagnostics,
-        composites=composites,
+        composites={"pipeline": composite},
     )
 
 
@@ -312,11 +313,18 @@ def grover_diffusion(pair_s: ComplementaryPair) -> tuple[FinRel, bool]:
     """The reflection: identity minus (H0 x H0), as a symmetric difference.
 
     Returns the relation and its bijectivity flag.  The flag is genuinely
-    informative: with more than two copies in the X-basis the reflection
-    stops being a bijection, and a run using it is then not a physical
-    evolution in the model.  Each pair builds its reflection once and keeps it.
+    informative: it holds exactly when |H| = 2, so with more or fewer
+    elements in an X-copy the reflection is not a bijection, and a run using
+    it is then not a physical evolution in the model.  Proof: the relation
+    sends a in H0 to H0 minus a and fixes every other element, so it is a
+    bijection iff H0 minus a is one element for each a in H0, that is iff
+    |H0| = |H| = 2, and then it swaps H0's two elements.  A run uses that
+    flag and ``ComplementaryPair._reflected_effects``, and builds neither
+    this relation nor its flag.
     """
-    return pair_s._h0_reflection
+    n, h0 = pair_s.size, pair_s.x_classical_states()[0].members
+    d = symmetric_difference(identity(n), FinRel(n, n, ((a, b) for a in h0 for b in h0)))
+    return d, is_unitary(d)
 
 
 def grover_zero_condition(inst: GroverInstance, rho: StateVec) -> bool:
@@ -346,7 +354,7 @@ def grover_run(inst: GroverInstance) -> RunReport:
     """
     return _candidate_run("grover", inst, inst.pair_s, inst.pair_b,
                           "zero_condition", _zero_condition(inst), False,
-                          diffusion_unitary=grover_diffusion(inst.pair_s)[1])
+                          diffusion_unitary=inst.pair_s.h.order == 2)
 
 
 @_frozen

@@ -242,10 +242,8 @@ def _cmd_run(args) -> int:
     (g, h), (g_b, h_b) = map(parse_pair_groups, (spec_in, args.pairB))
     # A pair holds up to about 1.2 kB per element (its recodings, complementarity check and
     # classical states), 32 times the 36 bytes of a table entry or a state's pair, so an element
-    # counts 32 rows.  The push reads G's and H_B's tables and starts from |H| * |H_B| pairs;
-    # the search also builds an |H|^2 reflection and its converse.
-    rows = (32 * (g.order * h.order + g_b.order * h_b.order) + g.order ** 2 + h_b.order ** 2
-            + h.order * h_b.order + (2 * h.order ** 2 if args.verb == "grover" else 0))
+    # counts 32 rows.  The kickback reads G's table; a run builds nothing else that large.
+    rows = 32 * (g.order * h.order + g_b.order * h_b.order) + g.order ** 2
     if rows > _SIZE_LIMIT:
         raise ValueError(f"{args.verb} run pair({g.spec()},{h.spec()}) -> "
                          f"pair({g_b.spec()},{h_b.spec()}) is too large to hold: it takes "

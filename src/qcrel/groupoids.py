@@ -17,12 +17,12 @@ copy of G, whatever the number of copies.
 
 The controlled relation of Z's comultiplication, a blackbox f and X's
 multiplication has one construction: f's pairs indexed by block (a Z-copy
-times an X-copy).  The index pushes a state through the relation, kicks a
-query with an X-classical marker back onto the first system, decides its
+times an X-copy).  The index kicks a query with an X-classical marker back
+onto the first system, which is all a run asks of it; it also decides its
 bijectivity without building it, and expands it whole when pushed the
-identity.  Complementarity is that bijectivity for f = identity: every Z-copy
-meets every X-copy in exactly one element.  A pair decides it once, when it
-is built, in O(n) and without any table.
+identity (``cnot``, ``build_oracle``).  Complementarity is that bijectivity
+for f = identity: every Z-copy meets every X-copy in exactly one element.  A
+pair decides it once, when it is built, in O(n) and without any table.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from .relations import (
     _frozen,
     converse,
     identity,
-    is_unitary,
     swap,
-    symmetric_difference,
     tensor,
     then,
 )
@@ -318,27 +316,27 @@ class ComplementaryPair:
         """The X-classical states as a set, for membership tests."""
         return frozenset(self._x_classical_states)
 
-    @cached_property
-    def _h0_reflection(self) -> tuple[FinRel, bool]:
-        """``algorithms.grover_diffusion``, built once per pair."""
-        h0 = self._x_classical_states[0].members
-        d = symmetric_difference(identity(self.size), FinRel(
-            self.size, self.size, ((a, b) for a in h0 for b in h0)))
-        return d, is_unitary(d)
-
-    @cached_property
+    @property
     def _reflected_effects(self) -> tuple[StateVec, ...]:
-        """Each X-classical effect folded back through the reflection d:
-        post-selecting on rho after d is post-selecting on converse(d)'s image
-        of rho before.  Built once per pair."""
-        back = converse(self._h0_reflection[0])
-        return tuple(StateVec._trusted(self.size, back.image(rho.members))
-                     for rho in self._x_classical_states)
+        """Each X-classical effect rho folded back through the search's
+        reflection d, the symmetric difference of the identity and H0 x H0,
+        H0 the first X-classical state: post-selecting on rho after d is
+        post-selecting on converse(d)'s image of rho before.  In closed form that image is H0
+        itself for rho = H0 when |H| >= 2, empty when |H| = 1, and rho for
+        every other X-classical state, so no reflection is built.
 
-    @cached_property
-    def _fourier(self) -> FinRel:
-        """``fourier_rel``, built once per pair."""
-        return FinRel._trusted(self.size, self.size, tuple((u,) for u in self.x_recode_inverse))
+        Proof.  H0 x H0 is symmetric, and so is the identity, so converse(d)
+        = d.  Off H0, H0 x H0 holds no pair, so d sends a to {a}; on H0, d
+        sends a to H0 minus a.  The X-classical states partition the set, so
+        every rho other than H0 misses H0, and d's image of it is rho.  d's
+        image of H0 is the union of H0 minus a over a in H0: all of H0 when
+        H0 has two or more elements, and empty when it has one.  H0 is an
+        X-copy, with |H| elements.
+        """
+        states = self._x_classical_states
+        if self.h.order >= 2:
+            return states
+        return (StateVec._trusted(self.size, frozenset()),) + states[1:]
 
     def is_complementary_pair(self) -> bool:
         """Whether the two bases are complementary under ``x_recode``: the
@@ -475,14 +473,14 @@ def fourier_rel(pair: ComplementaryPair) -> FinRel:
     is an involution only for the canonical recoding, so measure through its
     converse.  Pairs with |G| != |H| have no such bijection; prepare and
     measure X-classical states directly instead (the absorbed form the
-    algorithm runners use).  Each pair builds its bijection once and keeps it.
+    algorithm runners use).
     """
     if pair.g.order != pair.h.order:
         raise ValueError(
             f"no basis-change bijection for {pair.spec()}: "
             "|G| != |H|; use absorbed preparation/measurement instead"
         )
-    return pair._fourier
+    return FinRel._trusted(pair.size, pair.size, tuple((u,) for u in pair.x_recode_inverse))
 
 
 _GROUPOID_SPEC = re.compile(r"^(Z\d+)(xZ\d+)*(\^\d+)?$")

@@ -36,8 +36,8 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
     a . b = x in Z_A, (b,c) in f, and c * y defined in X_B.
 
     It is the controlled relation of ``groupoids._ControlledBlocks``, expanded
-    by pushing the identity on A x B through f's block index; the runs push
-    their prepared states through the same index instead of building this.
+    by pushing the identity on A x B through f's block index; the runs kick
+    their queries back through the same index instead of building this.
     Rejects non-classical f unless ``unchecked`` is set; unitarity is only
     guaranteed for classical relations, but the comprehension itself is total.
     """

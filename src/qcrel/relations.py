@@ -259,15 +259,6 @@ class Scalar:
     def __init__(self, possible: bool) -> None:
         vars(self).update(possible=possible)
 
-    def as_rel(self) -> FinRel:
-        return FinRel(1, 1, [(0, 0)] if self.possible else [])
-
-    @classmethod
-    def from_rel(cls, rel: FinRel) -> "Scalar":
-        if rel.dom_size != 1 or rel.cod_size != 1:
-            raise ValueError(f"a scalar must be a 1->1 relation, got {rel.dom_size}->{rel.cod_size}")
-        return cls(bool(rel.rows[0]))
-
     def __bool__(self) -> bool:
         return self.possible
 

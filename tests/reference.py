@@ -5,7 +5,7 @@ place so that every test file checks the package against the same one.
 """
 
 from qcrel.groupoids import check_structure_laws
-from qcrel.relations import FinRel
+from qcrel.relations import FinRel, Scalar
 
 
 def x_mult(pair, u, v):
@@ -92,3 +92,16 @@ def structure_laws(z):
     """The five laws of a groupoid decided by the full composites over all
     its n elements: ``check_structure_laws`` of its multiplication and unit."""
     return check_structure_laws(z.mult_rel, z.unit_state())
+
+
+def scalar_as_rel(scalar):
+    """A scalar as the 1->1 relation it is: the identity on {*} when
+    possible, the empty relation otherwise."""
+    return FinRel(1, 1, [(0, 0)] if scalar.possible else [])
+
+
+def scalar_from_rel(rel):
+    """The scalar a 1->1 relation is."""
+    if rel.dom_size != 1 or rel.cod_size != 1:
+        raise ValueError(f"a scalar must be a 1->1 relation, got {rel.dom_size}->{rel.cod_size}")
+    return Scalar(bool(rel.rows[0]))

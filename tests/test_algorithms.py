@@ -57,6 +57,23 @@ RECODED_PAIRS = PAIRS.flatmap(lambda p: st.one_of(st.just(p), st.permutations(ra
     lambda perm: ComplementaryPair(p.g, p.h, x_recode=perm))))
 
 
+def complementary_recodings(g, h):
+    """Every complementary recoding of pair(G, H), each as likely to be drawn
+    as its transversal choices: element a of Z-copy k lands in X-copy
+    tau_k(a), at place rho_l(k) of X-copy l, for permutations tau_k and rho_l."""
+    n, m = g.order, h.order
+    taus = st.lists(st.permutations(range(n)), min_size=m, max_size=m)
+    rhos = st.lists(st.permutations(range(m)), min_size=n, max_size=n)
+    return st.tuples(taus, rhos).map(lambda tr: ComplementaryPair(g, h, x_recode=[
+        tr[0][k][a] * m + tr[1][tr[0][k][a]][k] for k in range(m) for a in range(n)]))
+
+
+# Square pairs of 4 or 9 elements with two X-classical states or more, each
+# under a random complementary recoding.
+SQUARE_RECODED_PAIRS = st.sampled_from([(2, (2,)), (3, (3,)), (2, (1, 2)), (3, (3, 1))]).flatmap(
+    lambda spec: complementary_recodings(AbelianGroup((spec[0],)), AbelianGroup(spec[1])))
+
+
 def random_relations(n, m):
     """Relations n -> m, classical or not: empty, full, or a random set of pairs."""
     cells = [(a, b) for a in range(n) for b in range(m)]
@@ -143,9 +160,12 @@ class TestDJRun:
             assert report.diagnostics["formula_agrees_with_composite"]
 
     def test_unabsorbed_pipeline_checked_for_square_pairs(self):
-        report = dj_run(dj_inst(CONSTANT_F))
+        # The key is a proved identity; the staged pipeline is the tests' reference.
+        inst = dj_inst(CONSTANT_F)
+        report = dj_run(inst)
         assert report.diagnostics["absorbed_equals_unabsorbed"] is True
-        assert "unabsorbed" in report.composites
+        oracle = build_oracle(OracleSpec(P22.z, P22, inst.f))
+        assert report.composites == {"pipeline": reference_unabsorbed(P22, P22, oracle)}
 
     def test_oracle_must_be_classical(self):
         with pytest.raises(ValueError, match="classical"):
@@ -190,15 +210,10 @@ class TestGroverDiffusion:
     @pytest.mark.parametrize("spec", ["pair(Z1,Z1)", "pair(Z2,Z2)", "pair(Z3,Z3)",
                                       "pair(Z2,Z3)", "pair(Z2xZ2,Z2)", "pair(Z4,Z1)"])
     def test_built_once_per_canonical_pair(self, spec):
+        # Each call builds the reflection anew, equal to a fresh build; no run calls it.
         pair = parse_pair_spec(spec)
-        first = grover_diffusion(pair)
-        again = grover_diffusion(pair)
-        assert again is first and again[0] is first[0]
-        assert first == self.fresh_reflection(pair)
-        # A new pair object, equal to the first, builds its own.
-        other = parse_pair_spec(spec)
-        assert grover_diffusion(other) is not first
-        assert grover_diffusion(other) == first
+        assert grover_diffusion(pair) == grover_diffusion(pair) == self.fresh_reflection(pair)
+        assert grover_diffusion(parse_pair_spec(spec)) == self.fresh_reflection(pair)
 
     @given(st.sampled_from(["pair(Z2,Z2)", "pair(Z3,Z3)", "pair(Z2,Z3)", "pair(Z2xZ2,Z2)"]),
            st.data())
@@ -207,25 +222,45 @@ class TestGroverDiffusion:
         canonical = parse_pair_spec(spec)
         perm = data.draw(st.permutations(range(canonical.size)))
         pair = ComplementaryPair(canonical.g, canonical.h, x_recode=perm)
-        first = grover_diffusion(pair)
-        assert grover_diffusion(pair) is first
-        assert first == self.fresh_reflection(pair)
+        assert grover_diffusion(pair) == self.fresh_reflection(pair)
         self.assert_effects_folded(pair)
 
     @staticmethod
     def assert_effects_folded(pair):
-        """The pair's post-selection effects are the X-classical effects pulled
-        back through the converse of a fresh reflection, built once."""
-        back = converse(TestGroverDiffusion.fresh_reflection(pair)[0])
-        effects = pair._reflected_effects
-        assert pair._reflected_effects is effects
-        assert effects == tuple(StateVec(pair.size, back.image(rho.members))
-                                for rho in pair.x_classical_states())
+        """The pair's post-selection effects, and the bijectivity flag a search
+        reports, in closed form, against the X-classical effects pulled back
+        through the converse of a fresh reflection and that reflection's flag."""
+        d, flag = TestGroverDiffusion.fresh_reflection(pair)
+        back = converse(d)
+        assert pair._reflected_effects == tuple(StateVec(pair.size, back.image(rho.members))
+                                                for rho in pair.x_classical_states())
+        assert (pair.h.order == 2) == flag
+        if pair.is_complementary_pair():
+            sigma = pair.x_classical_states()[0]
+            f = StructuredRel(empty(pair.size, pair.size), pair.z, pair.z)
+            report = grover_run(GroverInstance(pair, pair, f, sigma, unchecked=True))
+            assert report.diagnostics["diffusion_unitary"] is flag
 
     @pytest.mark.parametrize("spec", ["pair(Z1,Z1)", "pair(Z2,Z2)", "pair(Z3,Z3)",
                                       "pair(Z2,Z3)", "pair(Z2xZ2,Z2)", "pair(Z4,Z1)"])
     def test_effects_folded_once_per_pair(self, spec):
         self.assert_effects_folded(parse_pair_spec(spec))
+
+    def test_every_recoding_of_small_pairs_matches_a_fresh_reflection(self):
+        # Every recoding, complementary or not, of every pair of up to 6 elements.
+        checked = 0
+        for g, h in itertools.product(range(1, 7), repeat=2):
+            if g * h <= 6:
+                for perm in itertools.permutations(range(g * h)):
+                    pair = ComplementaryPair(AbelianGroup((g,)), AbelianGroup((h,)), x_recode=perm)
+                    self.assert_effects_folded(pair)
+                    checked += 1
+        assert checked == 3209
+
+    @given(RECODED_PAIRS)
+    @settings(max_examples=80, deadline=None)
+    def test_random_recodings_match_a_fresh_reflection(self, pair):
+        self.assert_effects_folded(pair)
 
 
 def grover_inst(rel, sigma_index=1):
@@ -410,7 +445,8 @@ def reference_unabsorbed(pair_a, pair_b, oracle):
 
 def assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=False):
     """Every runner whose instance accepts (pair_in, pair_out, rel) against
-    the built pipeline: composites, ``unabsorbed`` and ``oracle_unitary``."""
+    the built pipeline: composites and ``oracle_unitary``, and for dj on
+    square pairs the staged basis-change pipeline too."""
     f = StructuredRel(rel, pair_in.z, pair_out.z)
     candidates = pair_in.x_classical_states()
     sigma = pair_out.x_classical_states()[sigma_index]
@@ -420,11 +456,12 @@ def assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=F
         oracle, (expected,) = reference_single_query(pair_in, pair_out, f, h1b, candidates[:1])
         assert report.composites["pipeline"] == expected
         assert report.diagnostics["oracle_unitary"] == is_unitary(oracle)
+        assert list(report.composites) == ["pipeline"]
         if pair_in.g.order == pair_in.h.order and pair_out.g.order == pair_out.h.order:
-            expected = reference_unabsorbed(pair_in, pair_out, oracle)
-            assert report.composites["unabsorbed"] == expected
+            assert report.composites["pipeline"] == reference_unabsorbed(pair_in, pair_out, oracle)
+            assert report.diagnostics["absorbed_equals_unabsorbed"] is True
         else:
-            assert "unabsorbed" not in report.composites
+            assert "absorbed_equals_unabsorbed" not in report.diagnostics
     diffusion = grover_diffusion(pair_in)
     for run, inst, d in (
             (grover_run, GroverInstance(pair_in, pair_out, f, sigma, unchecked), diffusion),
@@ -438,7 +475,8 @@ def assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=F
             is_unitary(oracle) and (d is None or d[1]))
 
 
-SMALLEST_PAIRS = ["pair(Z2,Z2)", "pair(Z3,Z2)", "pair(Z2,Z3)", "pair(Z1,Z4)"]
+# The square ones, pair(Z2,Z2) and pair(Z3,Z3), also check the staged pipeline.
+SMALLEST_PAIRS = ["pair(Z2,Z2)", "pair(Z3,Z2)", "pair(Z2,Z3)", "pair(Z1,Z4)", "pair(Z3,Z3)"]
 
 
 class TestPushedPipelineMatchesBuiltReference:
@@ -462,6 +500,13 @@ class TestPushedPipelineMatchesBuiltReference:
     @given(PAIRS, PAIRS, st.data())
     @settings(max_examples=60, deadline=None)
     def test_unchecked_blackboxes_on_random_shapes(self, pair_in, pair_out, data):
+        rel = data.draw(random_relations(pair_in.size, pair_out.size))
+        sigma_index = data.draw(st.integers(0, len(pair_out.x_classical_states()) - 1))
+        assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=True)
+
+    @given(SQUARE_RECODED_PAIRS, SQUARE_RECODED_PAIRS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_square_recodings_match_the_staged_pipeline(self, pair_in, pair_out, data):
         rel = data.draw(random_relations(pair_in.size, pair_out.size))
         sigma_index = data.draw(st.integers(0, len(pair_out.x_classical_states()) - 1))
         assert_runs_match_reference(pair_in, pair_out, rel, sigma_index, unchecked=True)
