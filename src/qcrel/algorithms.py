@@ -147,13 +147,16 @@ def dj_classify(inst: DJInstance) -> str:
     Constant: f is exactly (first X_A-classical state) x (some Z_B-classical
     state).  Balanced: f relates nothing in the first X_A-classical state to
     the second X_B-classical state.  The two are mutually exclusive: a full
-    Z_B-classical state meets every X_B-classical state.
+    Z_B-classical state meets every X_B-classical state.  The only Z_B-copy
+    a constant f can send h0a to is the one holding the first target of h0a's
+    least element, so only that block is tested.
     """
     h0a = inst.pair_a.x_classical_states()[0].members
     h1b = inst.pair_b.x_classical_states()[1].members
-    rows = inst.f.rel.rows
-    for gk in inst.pair_b.z.classical_states():
-        block = tuple(gk.sorted_members())
+    rows, n = inst.f.rel.rows, inst.pair_b.g.order
+    if first := rows[min(h0a)]:
+        start = first[0] - first[0] % n
+        block = tuple(range(start, start + n))
         if all(row == (block if a in h0a else ()) for a, row in enumerate(rows)):
             return CONSTANT
     if not (inst.f.rel.image(h0a) & h1b):

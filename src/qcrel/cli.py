@@ -198,10 +198,10 @@ def _cmd_verify_structure(args) -> int:
 def _cmd_enumerate(args) -> int:
     source = parse_groupoid_spec(args.source)
     target = parse_groupoid_spec(args.target)
-    pairs = census_size(source, target, args.budget)
-    if pairs > _SIZE_LIMIT:
-        raise ValueError(f"census {source.spec()} -> {target.spec()} is too large to list: it "
-                         f"holds {pairs} pairs, above the limit of {_SIZE_LIMIT}")
+    rows = census_size(source, target, args.budget)
+    if rows > _SIZE_LIMIT:
+        raise ValueError(f"census {source.spec()} -> {target.spec()} is too large to list: its "
+                         f"relations take {rows} rows and pairs, above the limit of {_SIZE_LIMIT}")
     for rel in enumerate_classical_relations(source, target, max_relations=args.budget):
         print(rel.to_json())
     return 0

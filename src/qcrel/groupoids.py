@@ -11,9 +11,9 @@ classes), glued by the canonical recoding that sends the Z-label
 (copy i, group element g) to the X-label (copy flat(g), element i).
 
 Arithmetic is by table: a group builds its Cayley and negation tables on
-first use, and a groupoid caches its structure relations.  A groupoid is the
-direct sum of its copies, so its classical-structure laws are decided on one
-copy of G, whatever the number of copies.
+first use, each row an additive extension (``_extension``), and a groupoid
+caches its structure relations.  A groupoid is the direct sum of its copies,
+so its classical-structure laws are decided on one copy of G.
 
 The controlled relation of Z's comultiplication, a blackbox f and X's
 multiplication has one construction: f's pairs indexed by block (a Z-copy
@@ -69,12 +69,11 @@ class AbelianGroup:
     def order(self) -> int:
         return prod(self.cyclic_orders)
 
-    def coords(self, flat: int) -> tuple[int, ...]:
-        out = []
-        for n in reversed(self.cyclic_orders):
-            flat, r = divmod(flat, n)
-            out.append(r)
-        return tuple(reversed(out))
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The flat index of each cyclic factor's generator, 0 for a factor Z1."""
+        orders = self.cyclic_orders
+        return tuple(prod(orders[i + 1:]) if n > 1 else 0 for i, n in enumerate(orders))
 
     def flat(self, coords: Sequence[int]) -> int:
         value = 0
@@ -85,13 +84,13 @@ class AbelianGroup:
     @cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table, ``add_table[a][b] == a + b``; built on first use."""
-        coords = [self.coords(a) for a in range(self.order)]
-        return tuple(tuple(self.flat([x + y for x, y in zip(ca, cb)]) for cb in coords)
-                     for ca in coords)
+        return tuple(_extension(self, self, self.generators, a) for a in range(self.order))
 
     @cached_property
     def neg_table(self) -> tuple[int, ...]:
-        return tuple(self.flat([-x for x in self.coords(a)]) for a in range(self.order))
+        """``neg_table[a] == -a``: each generator e_i goes to (g_i - 1)*e_i."""
+        return _extension(self, self, [(n - 1) * e for n, e in zip(self.cyclic_orders,
+                                                                   self.generators)])
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -101,6 +100,34 @@ class AbelianGroup:
 
     def spec(self) -> str:
         return "x".join(f"Z{n}" for n in self.cyclic_orders)
+
+
+def _extension(h: AbelianGroup, g: AbelianGroup, images: Sequence[int],
+               offset: int = 0) -> Optional[tuple[int, ...]]:
+    """The table on H's flat elements of x -> offset + sum_i x_i*images[i] in
+    G, for x of coordinates x_i and flat images in G; None when some
+    h_i*images[i] != 0.  Built one coordinate of G at a time, O(|H|) each.
+
+    With offset 0, the images extend to a homomorphism H -> G iff every
+    h_i*images[i] = 0; so a table phi is a homomorphism iff it equals the
+    extension of its images phi(e_i) of H's generators (e_i = 0 for a Z1).
+    Proof.  A homomorphism has h_i*phi(e_i) = phi(h_i*e_i) = phi(0) = 0 and
+    phi(x) = sum_i x_i*phi(e_i).  Conversely, the homomorphism Z^k -> G that
+    sends unit vector i to images[i] kills every h_i*e_i, so it factors
+    through H, and on the representatives 0 <= x_i < h_i it is the extension.
+    """
+    table, below = None, g.order
+    for gj in g.cyclic_orders:
+        below //= gj
+        column = [offset // below % gj]
+        for hi, image in zip(h.cyclic_orders, images):
+            step = image // below % gj
+            if hi * step % gj:
+                return None
+            steps = [t * step for t in range(hi)]
+            column = [(v + s) % gj for v in column for s in steps]
+        table = column if table is None else [v * gj + c for v, c in zip(table, column)]
+    return tuple(table)
 
 
 @_frozen

@@ -8,8 +8,9 @@ data, and the admissible blackbox content of a unitary oracle.  Their census
 is built from the group structure, not searched for: each source copy picks
 one target copy and one group homomorphism from the target group into the
 source group (Pavlovic, arXiv:0812.2266; Heunen-Contreras-Cattaneo,
-arXiv:1112.1284).  ``is_classical_relation`` reads a relation back into those
-blocks; the comonoid equations themselves (``classical_equations``) are its
+arXiv:1112.1284), the additive extension of generator images
+(``groupoids._extension``).  ``is_classical_relation`` reads a relation back
+into those blocks; the comonoid equations (``classical_equations``) are its
 reference.
 
 Every other predicate but surjectivity on objects is decided as an exact
@@ -25,9 +26,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, product
 from math import gcd, prod
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .groupoids import AbelianGroup, Groupoid
+from .groupoids import AbelianGroup, Groupoid, _extension
 from .relations import FinRel, _frozen, tensor, then
 
 
@@ -108,7 +109,7 @@ def classical_equations(s: StructuredRel) -> ClassicalEquations:
 
 def is_classical_relation(s: StructuredRel) -> bool:
     """Whether R is a comonoid homomorphism, read off its rows in O(|R|)
-    plus O(|H|*k*m) per distinct table (see ``_is_homomorphism``).
+    plus O(|H|*m) per distinct table, m the factors of G.
 
     With source = copies of G and target = copies of H, R is classical
     exactly when, for each source copy i, there are a target copy j and a
@@ -116,7 +117,8 @@ def is_classical_relation(s: StructuredRel) -> bool:
     {(i*|G| + phi(h), j*|H| + h) : h in H}, the characterization the census
     is built from.  Each source copy's rows are read back into such a table
     phi, which must be total, single-valued and a homomorphism; each distinct
-    table is tested for the homomorphism law once, by the generator recurrence.
+    table is tested for the homomorphism law once, by comparing it with the
+    additive extension of its values on H's generators (``_extension``).
     """
     g, h = s.source.base, s.target.base
     ng, nh = g.order, h.order
@@ -140,7 +142,7 @@ def is_classical_relation(s: StructuredRel) -> bool:
             return False
         table = tuple(phi)
         if table not in homomorphisms:
-            if not _is_homomorphism(table, h, g):
+            if table != _extension(h, g, [table[e] for e in h.generators]):
                 return False
             homomorphisms.add(table)
     return True
@@ -158,49 +160,11 @@ def _homomorphisms(h: AbelianGroup, g: AbelianGroup) -> list[tuple[int, ...]]:
     G whose j-th coordinate is a multiple of g_j / gcd(h_i, g_j); the table is
     the additive extension of these images."""
     per_generator = [
-        list(product(*(range(0, gj, gj // gcd(hi, gj)) for gj in g.cyclic_orders)))
+        [g.flat(image) for image in product(*(range(0, gj, gj // gcd(hi, gj))
+                                              for gj in g.cyclic_orders))]
         for hi in h.cyclic_orders
     ]
-    # zip(*images) gives, per coordinate of G, that coordinate of each generator's image.
-    return [tuple(g.flat([sum(c * v for c, v in zip(h.coords(x), column))
-                          for column in zip(*images)]) for x in range(h.order))
-            for images in product(*per_generator)]
-
-
-def _is_homomorphism(phi: Sequence[int], h: AbelianGroup, g: AbelianGroup) -> bool:
-    """Whether the table ``phi`` on the flat elements of H is a homomorphism
-    H -> G, by the generator recurrence: phi(0) = 0 and phi(x + e) =
-    phi(x) + phi(e) for every x and generator e of H, x + e cyclic in e's
-    coordinate.  O(|H|*k*m) integer steps for k factors in H and m in G.
-
-    Proof.  A homomorphism satisfies it.  Conversely, show phi(x + y) =
-    phi(x) + phi(y) by induction on the coordinate sum of y (0 <= y_i < h_i):
-    for y = 0 it is phi(0) = 0; else y = y' + e_i with y'_i = y_i - 1, and
-    phi(x + y) = phi(x + y') + phi(e_i) = phi(x) + phi(y') + phi(e_i) =
-    phi(x) + phi(y), by the recurrence at x + y', the hypothesis and the
-    recurrence at y'.  (The wrap-around steps force h_i * phi(e_i) = 0.)  A
-    map into G = Z_g1 x ... x Z_gm is a homomorphism iff each coordinate is,
-    so each coordinate is tested mod g_j.
-    """
-    if phi[0]:
-        return False
-    below = g.order
-    for gj in g.cyclic_orders:
-        below //= gj
-        values = [v // below % gj for v in phi]
-        stride = h.order
-        for hi in h.cyclic_orders:
-            # Adding generator e_i, of flat value ``stride``, rotates each block
-            # of hi * stride consecutive elements by ``stride``.
-            block, stride = stride, stride // hi
-            if hi == 1:
-                continue  # e_i = 0
-            step = values[stride]
-            for start in range(0, h.order, block):
-                here = values[start:start + block]
-                if [(v + step) % gj for v in here] != here[stride:] + here[:stride]:
-                    return False
-    return True
+    return [_extension(h, g, images) for images in product(*per_generator)]
 
 
 def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
@@ -234,8 +198,9 @@ def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
 
 
 def census_size(source: Groupoid, target: Groupoid, max_relations: int) -> int:
-    """The pairs ``enumerate_classical_relations`` lists, |H| per source copy
-    of each relation; a census of more than ``max_relations`` is refused."""
+    """The rows and pairs ``enumerate_classical_relations`` builds: each
+    relation has a row per source element and |H| pairs per source copy.  A
+    census of more than ``max_relations`` relations is refused."""
     g, h = source.base, target.base
     per_copy = target.copies * prod(gcd(hi, gj) for hi in h.cyclic_orders for gj in g.cyclic_orders)
     # Past this many copies a per_copy > 1 census exceeds the budget; the
@@ -248,4 +213,4 @@ def census_size(source: Groupoid, target: Groupoid, max_relations: int) -> int:
             f"census has {per_copy}^{source.copies}{exact} classical relations, "
             f"beyond the budget of {max_relations}"
         )
-    return count * source.copies * h.order
+    return count * source.copies * (g.order + h.order)

@@ -22,6 +22,16 @@ def all_subsets(src, tgt):
         yield FinRel(src.size, tgt.size, (cells[i] for i in range(size) if mask >> i & 1))
 
 
+def coords(group, flat):
+    """The mixed-radix coordinates of a flat element, first factor most
+    significant: the inverse of ``AbelianGroup.flat``."""
+    out = []
+    for n in reversed(group.cyclic_orders):
+        flat, r = divmod(flat, n)
+        out.append(r)
+    return tuple(reversed(out))
+
+
 def hom_table(h, g, images):
     """The map H -> G sending generator i of H to the element of G with
     coordinates ``images[i]``, extended additively, as a table of its values
@@ -29,7 +39,7 @@ def hom_table(h, g, images):
     order dividing its generator's."""
     # zip(*images) gives, per coordinate of G, that coordinate of each generator's image.
     return tuple(
-        g.flat([sum(c * v for c, v in zip(h.coords(x), column)) for column in zip(*images)])
+        g.flat([sum(c * v for c, v in zip(coords(h, x), column)) for column in zip(*images)])
         for x in range(h.order))
 
 
@@ -38,10 +48,24 @@ def is_homomorphism(phi, h, g):
     H -> G: it must be the additive extension of its values on H's
     generators, each of an order dividing its generator's."""
     k = len(h.cyclic_orders)
-    images = [g.coords(phi[h.flat([int(i == j) for j in range(k)])]) for i in range(k)]
+    images = [coords(g, phi[h.flat([int(i == j) for j in range(k)])]) for i in range(k)]
     orders_divide = all(hi * v % gj == 0 for hi, image in zip(h.cyclic_orders, images)
                         for v, gj in zip(image, g.cyclic_orders))
     return orders_divide and tuple(phi) == hom_table(h, g, images)
+
+
+def dj_classify(inst):
+    """``algorithms.dj_classify`` as the definition reads: constant when f is
+    h0a x (some Z_B-classical state), trying every one; balanced when f sends
+    nothing in h0a to h1b."""
+    h0a = inst.pair_a.x_classical_states()[0].members
+    h1b = inst.pair_b.x_classical_states()[1].members
+    rows = inst.f.rel.rows
+    for gk in inst.pair_b.z.classical_states():
+        block = tuple(gk.sorted_members())
+        if all(row == (block if a in h0a else ()) for a, row in enumerate(rows)):
+            return "constant"
+    return "balanced" if not inst.f.rel.image(h0a) & h1b else "neither"
 
 
 def finrel_from_json_dict(payload, check_sizes=None):

@@ -41,7 +41,7 @@ from qcrel.relations import (
     tensor,
     then,
 )
-from reference import post_select
+from reference import dj_classify as reference_dj_classify, post_select
 
 
 P22 = parse_pair_spec("pair(Z2,Z2)")
@@ -129,6 +129,44 @@ class TestDJClassify:
         for rel in enumerate_classical_relations(Z22, Z22):
             counts[dj_classify(dj_inst(rel))] += 1
         assert counts == {CONSTANT: 2, BALANCED: 4, NEITHER: 10}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(PAIRS, PAIRS.flatmap(lambda p: complementary_recodings(p.g, p.h))),
+           PAIRS.filter(lambda p: p.g.order >= 2), st.data())
+    def test_equals_every_block_reference(self, pair_a, pair_b, data):
+        """The one-block test against the reference that tries every
+        Z_B-classical state, on census members, random relations and
+        constant-shaped ones: h0a x |G_B| consecutive elements, a Z_B-copy or
+        straddling two, perhaps with one pair flipped."""
+        n, m = pair_a.size, pair_b.size
+        kind = data.draw(st.sampled_from(["census", "random", "constant"]))
+        if kind == "census":
+            try:
+                census = enumerate_classical_relations(pair_a.z, pair_b.z, max_relations=4096)
+            except ValueError:
+                census = [empty(n, m)]
+            rel = data.draw(st.sampled_from(census))
+        elif kind == "random":
+            rel = data.draw(random_relations(n, m))
+        else:
+            h0a = pair_a.x_classical_states()[0].members
+            start = data.draw(st.integers(0, m - pair_b.g.order))
+            block = range(start, start + pair_b.g.order)
+            pairs = {(a, b) for a in h0a for b in block}
+            if data.draw(st.booleans()):
+                pairs ^= {(data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, m - 1)))}
+            rel = FinRel(n, m, pairs)
+        inst = DJInstance(pair_a, pair_b, StructuredRel(rel, pair_a.z, pair_b.z), unchecked=True)
+        assert dj_classify(inst) == reference_dj_classify(inst)
+
+    def test_builds_no_z_classical_state(self):
+        pair_a, pair_b = parse_pair_spec("pair(Z2,Z3)"), ComplementaryPair(
+            AbelianGroup((3,)), AbelianGroup((2,)))
+        rel = FinRel(pair_a.size, pair_b.size,
+                     [(a, b) for a in pair_a.x_classical_states()[0].members for b in (3, 4, 5)])
+        report = dj_run(DJInstance(pair_a, pair_b, StructuredRel(rel, pair_a.z, pair_b.z)))
+        assert report.decision == CONSTANT
+        assert "_classical_states" not in vars(pair_b.z)
 
 
 class TestDJRun:

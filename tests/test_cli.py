@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from qcrel import algorithms, cli, groupoids, hom_relations, relations
 from qcrel.algorithms import DJInstance, dj_run
 from qcrel.cli import emit_report, main, parse_relation_file
-from qcrel.groupoids import ComplementaryPair, parse_groupoid_spec, parse_pair_spec
+from qcrel.groupoids import ComplementaryPair, LawReport, parse_groupoid_spec, parse_pair_spec
 from qcrel.hom_relations import StructuredRel, enumerate_classical_relations
 from qcrel.relations import FinRel, identity, tensor
 
@@ -88,6 +88,19 @@ class TestVerifyStructure:
 
     def test_bad_spec_is_input_error(self, capsys):
         assert main(["verify-structure", "--groupoid", "Q2"]) == 1
+
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_failed_law_exits_2(self, json_flag, monkeypatch, capsys):
+        # No parsed groupoid fails a law, so the verdict is patched in.
+        failed = LawReport(True, True, False, True, True)
+        monkeypatch.setattr(cli, "verify_classical_structure", lambda z: failed)
+        assert main(["verify-structure", "--groupoid", "Z2", *["--json"] * json_flag]) == 2
+        out = capsys.readouterr().out
+        if json_flag:
+            assert json.loads(out) == {"groupoid": "Z2", "laws": failed.as_dict(), "all_ok": False}
+        else:
+            assert out == ("coassociative: ok\ncounital: ok\nfrobenius: FAILED\nspecial: ok\n"
+                           "symmetric: ok\n")
 
 
 class TestEnumerateCommand:
@@ -631,27 +644,34 @@ class TestCheckRelationPairBudget:
 
 
 class TestEnumeratePairBudget:
-    """A census whose relations hold more than ``_SIZE_LIMIT`` pairs together
-    (|H| per source copy of each) is refused before any of it is built."""
+    """A census whose relations take more than ``_SIZE_LIMIT`` rows and pairs
+    together (a row per source element and |H| pairs per source copy of
+    each) is refused before any of it is built."""
 
-    @pytest.mark.parametrize("source,target", [("Z1", "Z100000000"), ("Z1^100000000", "Z1")])
-    def test_oversized_census_is_input_error(self, source, target):
+    # Each census holds one relation, of a row per source element and a pair per target one.
+    @pytest.mark.parametrize("source,target,rows", [
+        pytest.param(source, target, rows, id=f"{source}-{target}") for source, target, rows in [
+            ("Z1", "Z100000000", 1 + 10 ** 8), ("Z1^100000000", "Z1", 2 * 10 ** 8),
+            ("Z67108864", "Z1", 67108864 + 1), ("Z4194304", "Z1", 4194304 + 1),
+            ("Z1", "Z4194304", 1 + 4194304)]])
+    def test_oversized_census_is_input_error(self, source, target, rows):
         proc = run_cli(["enumerate", "--from", source, "--to", target], timeout=60,
                        preexec_fn=cap_address_space)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            1, "", f"error: census {source} -> {target} is too large to list: it holds "
-                   f"{10 ** 8} pairs, above the limit of {1 << 22}\n")
+            1, "", f"error: census {source} -> {target} is too large to list: its relations "
+                   f"take {rows} rows and pairs, above the limit of {1 << 22}\n")
 
     def test_limit_is_inclusive(self, monkeypatch, capsys):
-        # Z2^2 -> Z2^2: 16 relations of 2 copies x 2 pairs, 64 pairs.
+        # Z2^2 -> Z2^2: 16 relations of 4 rows and 2 copies x 2 pairs, 128 rows and pairs.
         argv = ["enumerate", "--from", "Z2^2", "--to", "Z2^2"]
-        monkeypatch.setattr(cli, "_SIZE_LIMIT", 64)
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 128)
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 16
-        monkeypatch.setattr(cli, "_SIZE_LIMIT", 63)
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 127)
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: census Z2^2 -> Z2^2 is too large to list: "
-                                           "it holds 64 pairs, above the limit of 63\n")
+                                           "its relations take 128 rows and pairs, above the "
+                                           "limit of 127\n")
 
     def test_relation_budget_is_checked_first(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_SIZE_LIMIT", 1)
@@ -697,6 +717,24 @@ class TestRunBudget:
         assert capsys.readouterr() == ("", f"error: {verb} run pair(Z2,Z2) -> pair(Z2,Z2) is too "
                                            f"large to hold: it takes {rows} rows, above the "
                                            f"limit of {rows - 1}\n")
+
+    @pytest.mark.parametrize("verb", ["dj", "grover", "homid"])
+    def test_second_pair_counts_its_product(self, verb, tmp_path, monkeypatch, capsys):
+        # pair(Z2,Z2) -> pair(Z3,Z4): 32 * (4 + 12) + 2^2 = 516 rows, where
+        # |G_B| + |H_B| in place of |G_B||H_B| would give 356.
+        rel = enumerate_classical_relations(parse_groupoid_spec("Z2^2"),
+                                            parse_pair_spec("pair(Z3,Z4)").z)[0]
+        first, sigma = ("A", []) if verb == "dj" else ("S", ["--sigma", "0"])
+        argv = [verb, f"--pair{first}", "pair(Z2,Z2)", "--pairB", "pair(Z3,Z4)",
+                "--oracle", write_rel(tmp_path, rel), *sigma, "--json"]
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 516)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == verb
+        monkeypatch.setattr(cli, "_SIZE_LIMIT", 515)
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {verb} run pair(Z2,Z2) -> pair(Z3,Z4) is too "
+                                           f"large to hold: it takes 516 rows, above the limit "
+                                           f"of 515\n")
 
 
 class TestReportGoldens:

@@ -25,7 +25,7 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, StateVec, identity, is_unitary, tensor, then
-from reference import structure_laws, x_mult
+from reference import coords, structure_laws, x_mult
 
 
 def x_unbiased_states(pair):
@@ -47,6 +47,14 @@ class TestAbelianGroup:
         assert g.add(g.flat([1, 2]), g.flat([1, 1])) == g.flat([0, 0])
         assert g.neg(g.flat([1, 2])) == g.flat([1, 1])
 
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    def test_generators_are_the_unit_vectors(self, orders):
+        # A factor Z1's unit vector is the zero vector, flat 0.
+        g = AbelianGroup(orders)
+        assert g.generators == tuple(g.flat([int(i == j) for j in range(len(orders))])
+                                     for i in range(len(orders)))
+        assert AbelianGroup([2, 1, 3]).generators == (3, 0, 1)
+
     def test_identity_is_zero(self):
         g = AbelianGroup([4])
         assert all(g.add(0, a) == a for a in range(4))
@@ -61,10 +69,10 @@ class TestAbelianGroup:
     def test_tables_match_coordinate_arithmetic(self, orders):
         g = AbelianGroup(orders)
         for a in range(g.order):
-            ca = g.coords(a)
+            ca = coords(g, a)
             assert g.neg_table[a] == g.flat([(-x) % n for x, n in zip(ca, orders)])
             for b in range(g.order):
-                cb = g.coords(b)
+                cb = coords(g, b)
                 assert g.add_table[a][b] == g.flat([(x + y) % n for x, y, n in zip(ca, cb, orders)])
 
     def test_rejects_empty_and_zero(self):

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from qcrel.groupoids import AbelianGroup, parse_groupoid_spec
+from qcrel.groupoids import AbelianGroup, _extension, parse_groupoid_spec
 from qcrel.hom_relations import (
     StructuredRel,
-    _is_homomorphism,
     classical_equations,
     enumerate_classical_relations,
     is_classical_relation,
@@ -19,7 +18,7 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, converse, identity, then
-from reference import all_subsets, hom_table, is_homomorphism
+from reference import all_subsets, coords, hom_table, is_homomorphism
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -258,6 +257,13 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="4\\^2 = 16 classical relations"):
             enumerate_classical_relations(Z22, Z22, max_relations=15)
 
+    def test_default_budget_is_two_to_the_sixteen(self):
+        tgt = parse_groupoid_spec("Z1^2")
+        assert len(enumerate_classical_relations(parse_groupoid_spec("Z1^16"), tgt)) == 1 << 16
+        with pytest.raises(ValueError, match="census has 2\\^17 = 131072 classical relations, "
+                                             "beyond the budget of 65536"):
+            enumerate_classical_relations(parse_groupoid_spec("Z1^17"), tgt)
+
     def test_budget_refuses_huge_copy_count_without_the_power(self):
         with pytest.raises(ValueError, match="census has 2\\^1000000 classical relations"):
             enumerate_classical_relations(parse_groupoid_spec("Z1^1000000"),
@@ -369,13 +375,41 @@ def tables_fixing_zero(draw):
     return tuple(phi), h, g
 
 
+@st.composite
+def extensions(draw):
+    """Groups H and G of 1-3 cyclic factors of order 1-6 (Z1 among them),
+    one image in G per factor of H, and an offset in G.  The images are
+    drawn from those of an order dividing their generator's, or freely."""
+    h = AbelianGroup(draw(CYCLIC_ORDERS))
+    g = AbelianGroup(draw(CYCLIC_ORDERS))
+    allowed = draw(st.booleans())
+    images = [[draw(st.integers(0, gcd(hi, gj) - 1)) * (gj // gcd(hi, gj)) if allowed
+               else draw(st.integers(0, gj - 1)) for gj in g.cyclic_orders]
+              for hi in h.cyclic_orders]
+    return h, g, images, draw(st.integers(0, g.order - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(extensions())
+def test_extension_equals_coordinate_sum(case):
+    """``_extension`` against the coordinate-sum table: the same values,
+    shifted by the offset, when every h_i*image_i is 0, and None otherwise."""
+    h, g, images, offset = case
+    flat_images = [g.flat(image) for image in images]
+    allowed = all(hi * v % gj == 0 for hi, image in zip(h.cyclic_orders, images)
+                  for v, gj in zip(image, g.cyclic_orders))
+    expected = tuple(g.flat([x + y for x, y in zip(coords(g, offset), coords(g, v))])
+                     for v in hom_table(h, g, images)) if allowed else None
+    assert _extension(h, g, flat_images, offset) == expected
+
+
 @settings(max_examples=200, deadline=None)
 @given(tables_fixing_zero())
-def test_generator_recurrence_equals_coordinate_sum_test(case):
-    """The homomorphism test by the generator recurrence against the additive
-    extension of the generators' images."""
+def test_homomorphism_iff_extension_of_its_generator_images(case):
+    """A table is a homomorphism exactly when it equals the extension of its
+    values on H's generators, the test ``is_classical_relation`` makes."""
     phi, h, g = case
-    assert _is_homomorphism(phi, h, g) == is_homomorphism(phi, h, g)
+    assert (phi == _extension(h, g, [phi[e] for e in h.generators])) == is_homomorphism(phi, h, g)
 
 
 @settings(max_examples=100, deadline=None)
