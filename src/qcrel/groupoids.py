@@ -19,10 +19,10 @@ The controlled relation of Z's comultiplication, a blackbox f and X's
 multiplication has one construction: f's pairs indexed by block (a Z-copy
 times an X-copy).  The index kicks a query with an X-classical marker back
 onto the first system, which is all a run asks of it; it also decides its
-bijectivity without building it, and expands it whole when pushed the
-identity (``cnot``, ``build_oracle``).  Complementarity is that bijectivity
-for f = identity: every Z-copy meets every X-copy in exactly one element.  A
-pair decides it once, when it is built, in O(n) and without any table.
+bijectivity without building it, and expands into the whole relation for
+``cnot`` and ``build_oracle``.  Complementarity is that bijectivity for
+f = identity: every Z-copy meets every X-copy in exactly one element.  A pair
+decides it once, when it is built, in O(n) and without any table.
 """
 
 from __future__ import annotations
@@ -389,14 +389,14 @@ class _ControlledBlocks:
     on z.size*x.size, kept as f's pairs indexed by block and built in O(|f|)
     without any of its rows.  The controlled-not is the case f = identity; a
     blackbox oracle passes its classical relation.  This index is the one
-    construction of the relation: ``push`` composes a state with it, and
-    pushing the identity expands it whole (``cnot``, ``build_oracle``).
+    construction of the relation: ``kickback`` reads a query through it, and
+    ``expand`` writes it whole (``cnot``, ``build_oracle``).
 
     A block is a pair (K, L) of a Z-copy K of ``z`` and an X-copy L of ``x``
     under ``recode``; a pair (b, c) of f lies in block (Z-copy of b, X-copy
     of c), and is kept as (b's element in its group, c's element in its
     X-copy), which is all the controlled relation needs of it.  Building the
-    index reads no group table; only ``push`` does.
+    index reads no group table; ``kickback`` reads Z's and ``expand`` both.
     """
 
     def __init__(self, z: Groupoid, f: FinRel, x: Groupoid, recode: Sequence[int]) -> None:
@@ -430,10 +430,10 @@ class _ControlledBlocks:
 
     def kickback(self, state: StateVec, marker: StateVec,
                  pair: ComplementaryPair) -> frozenset[int]:
-        """The set K that ``push`` sends state x marker to K x marker with,
-        for ``marker`` X-classical in ``pair``, whose X-basis and recoding
-        built this index: K = {s.b^-1 : s in state, (b, c) in f, b in s's
-        Z-copy, c in the marker's X-copy}.
+        """The set K that the controlled relation (``expand``) sends state x
+        marker to K x marker with, for ``marker`` X-classical in ``pair``,
+        whose X-basis and recoding built this index: K = {s.b^-1 : s in
+        state, (b, c) in f, b in s's Z-copy, c in the marker's X-copy}.
 
         Proof.  The marker is an X-copy L under the recoding.  Source (s, y),
         y in L, gets one target (s.b^-1, c*y) for each pair (b, c) in the
@@ -451,34 +451,28 @@ class _ControlledBlocks:
                          for k, i in (divmod(s, n) for s in state.members)
                          for b_z, _ in self.blocks.get((k, l), ()))
 
-    def push(self, state: FinRel, inverse: Sequence[int]) -> FinRel:
-        """``then(state, R)`` for the controlled relation R, reading only the
-        rows the state reaches; ``inverse`` inverts ``recode``.  Source (s, y)
-        reaches one target (s.b^-1, c*y) for each pair (b, c) in its block, so
-        only the y in c's X-copy are ever visited.  With ``state`` the identity
-        on z.size*x.size the result is R itself, every row sorted and
-        repeat-free, however many pairs share a block."""
+    def expand(self, inverse: Sequence[int]) -> FinRel:
+        """The controlled relation R, written from the blocks; ``inverse``
+        inverts ``recode``.  Source (s, y) gets one target (s.b^-1, c*y) per
+        pair (b, c) in its block, so c*y is defined; the targets are distinct,
+        by the proof of ``bijective``, so each row needs only sorting."""
         n, m, size = self.z.base.order, self.x.base.order, self.x.size
         z_add, z_neg, x_add = self.z.base.add_table, self.z.base.neg_table, self.x.base.add_table
+        x_labels = [divmod(v, m) for v in self.recode]
         rows = []
-        for row in state.rows:
-            targets: set[int] = set()
-            for source in row:
-                s, y = divmod(source, size)
-                k, i = divmod(s, n)
-                l, y_x = divmod(self.recode[y], m)
-                for b_z, c_x in self.blocks.get((k, l), ()):
-                    targets.add((k * n + z_add[i][z_neg[b_z]]) * size
-                                + inverse[l * m + x_add[c_x][y_x]])
-            rows.append(tuple(sorted(targets)))
-        return FinRel._trusted(state.dom_size, state.cod_size, tuple(rows))
+        for s in range(self.z.size):
+            k, i = divmod(s, n)
+            for l, y_x in x_labels:
+                rows.append(tuple(sorted(
+                    (k * n + z_add[i][z_neg[b_z]]) * size + inverse[l * m + x_add[c_x][y_x]]
+                    for b_z, c_x in self.blocks.get((k, l), ()))))
+        return FinRel._trusted(self.z.size * size, self.z.size * size, tuple(rows))
 
 
 def cnot(pair: ComplementaryPair) -> FinRel:
     """The controlled-not of the pair: copy in Z, then multiply in X."""
-    n = pair.size
-    return _ControlledBlocks(pair.z, identity(n), pair.x, pair.x_recode).push(
-        identity(n * n), pair.x_recode_inverse)
+    return _ControlledBlocks(pair.z, identity(pair.size), pair.x, pair.x_recode).expand(
+        pair.x_recode_inverse)
 
 
 def is_complementary(z: Groupoid, x: Groupoid, recode: Sequence[int]) -> bool:

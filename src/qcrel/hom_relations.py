@@ -189,9 +189,14 @@ def enumerate_classical_relations(source: Groupoid, target: Groupoid, *,
     census_size(source, target, max_relations)
     g, h = source.base, target.base
     ng, nh = g.order, h.order
-    blocks = sorted((FinRel(ng, target.size, ((phi[y], j * nh + y) for y in range(nh)))
-                     for j in range(target.copies) for phi in _homomorphisms(h, g)),
-                    key=FinRel.sorted_pairs)
+    blocks = []
+    for j, phi in product(range(target.copies), _homomorphisms(h, g)):
+        rows: dict[int, list[int]] = {}
+        for b, a in enumerate(phi, j * nh):  # b ascends: each row is sorted and repeat-free
+            rows.setdefault(a, []).append(b)
+        blocks.append(FinRel._trusted(ng, target.size, tuple(
+            tuple(rows[a]) if a in rows else () for a in range(ng))))
+    blocks.sort(key=FinRel.sorted_pairs)
     return [FinRel._trusted(source.size, target.size,
                             tuple(chain.from_iterable(block.rows for block in choice)))
             for choice in product(blocks, repeat=source.copies)]
@@ -203,12 +208,13 @@ def census_size(source: Groupoid, target: Groupoid, max_relations: int) -> int:
     census of more than ``max_relations`` relations is refused."""
     g, h = source.base, target.base
     per_copy = target.copies * prod(gcd(hi, gj) for hi in h.cyclic_orders for gj in g.cyclic_orders)
-    # Past this many copies a per_copy > 1 census exceeds the budget; the
-    # power itself would be a needlessly huge integer.
-    huge = per_copy > 1 and source.copies > max_relations.bit_length()
+    # The power is exact below 2^64.  Past that, a per_copy > 1 census of more copies than
+    # the budget has bits exceeds it, and the power would be a needlessly huge integer.
+    small = source.copies * per_copy.bit_length() <= 64
+    huge = not small and per_copy > 1 and source.copies > max_relations.bit_length()
     count = None if huge else per_copy ** source.copies
     if huge or count > max_relations:
-        exact = "" if huge else f" = {count}"
+        exact = f" = {count}" if small else ""
         raise ValueError(
             f"census has {per_copy}^{source.copies}{exact} classical relations, "
             f"beyond the budget of {max_relations}"

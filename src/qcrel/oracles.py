@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .groupoids import ComplementaryPair, Groupoid, _ControlledBlocks
 from .hom_relations import StructuredRel, classical_equations, is_classical_relation
-from .relations import FinRel, _frozen, identity
+from .relations import FinRel, _frozen
 
 
 @_frozen
@@ -35,9 +35,9 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
     """The endomorphism of A x B: ((x,y),(a, c*y)) whenever some b has
     a . b = x in Z_A, (b,c) in f, and c * y defined in X_B.
 
-    It is the controlled relation of ``groupoids._ControlledBlocks``, expanded
-    by pushing the identity on A x B through f's block index; the runs kick
-    their queries back through the same index instead of building this.
+    It is the controlled relation of ``groupoids._ControlledBlocks``, written
+    straight from f's block index (``expand``); the runs kick their queries
+    back through the same index instead of building this.
     Rejects non-classical f unless ``unchecked`` is set; unitarity is only
     guaranteed for classical relations, but the comprehension itself is total.
     """
@@ -50,5 +50,4 @@ def build_oracle(spec: OracleSpec, *, unchecked: bool = False) -> FinRel:
             "(pass unchecked=True to build it anyway)"
         )
     pb = spec.pair_b
-    return _ControlledBlocks(spec.za, spec.f.rel, pb.x, pb.x_recode).push(
-        identity(spec.za.size * pb.size), pb.x_recode_inverse)
+    return _ControlledBlocks(spec.za, spec.f.rel, pb.x, pb.x_recode).expand(pb.x_recode_inverse)

@@ -4,7 +4,10 @@ Each helper here is a direct transcription of a definition, kept in one
 place so that every test file checks the package against the same one.
 """
 
+from itertools import product
+
 from qcrel.groupoids import check_structure_laws
+from qcrel.hom_relations import _homomorphisms
 from qcrel.relations import FinRel, Scalar
 
 
@@ -54,6 +57,21 @@ def is_homomorphism(phi, h, g):
     return orders_divide and tuple(phi) == hom_table(h, g, images)
 
 
+def classical_relations_by_validation(source, target):
+    """The census with every (target copy j, homomorphism phi) block built
+    through the validating ``FinRel`` constructor from its pairs
+    {(phi(y), j*|H| + y) : y in H}, the blocks sorted by pair list, and one
+    block chosen per source copy."""
+    ng, nh = source.base.order, target.base.order
+    blocks = sorted((FinRel(ng, target.size, ((phi[y], j * nh + y) for y in range(nh)))
+                     for j in range(target.copies)
+                     for phi in _homomorphisms(target.base, source.base)),
+                    key=FinRel.sorted_pairs)
+    return [FinRel(source.size, target.size,
+                   ((i * ng + a, b) for i, block in enumerate(choice) for a, b in block.pairs))
+            for choice in product(blocks, repeat=source.copies)]
+
+
 def dj_classify(inst):
     """``algorithms.dj_classify`` as the definition reads: constant when f is
     h0a x (some Z_B-classical state), trying every one; balanced when f sends
@@ -97,8 +115,9 @@ def post_select(state, effects, m):
     """``then(state, tensor(rho.as_bra(), identity(m)))`` for every rho in
     ``effects``, in one pass over ``state``: its targets (x, v) are grouped by
     x once, and each effect's row is the union of the groups its members hold.
-    This is the engine the runs used before the kickback: with
-    ``_ControlledBlocks.push`` it evaluates any single query, marker or not.
+    This is the engine the runs used before the kickback: applied to a state
+    composed with ``_ControlledBlocks.expand``'s relation, it evaluates any
+    single query, marker or not.
     """
     grouped = []
     for row in state.rows:

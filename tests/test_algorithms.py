@@ -582,7 +582,7 @@ class TestOnePassPostSelection:
 
 class TestKickback:
     """The runs' kickback against the engine it replaced: the prepared state
-    and the marker pushed through the oracle's block index, then
+    and the marker composed with the oracle's expanded block index, then
     post-selected on the first system."""
 
     @given(RECODED_PAIRS, RECODED_PAIRS, st.data())
@@ -598,13 +598,12 @@ class TestKickback:
             lambda members: StateVec(n, members))))
         for marker in pair_out.x_classical_states():
             oracle, composites = _single_query(pair_in, pair_out, f, marker, effects)
-            (pushed,) = oracle.push(tensor(prepared.as_ket(), marker.as_ket()),
-                                    pair_out.x_recode_inverse).rows
+            relation = oracle.expand(pair_out.x_recode_inverse)
+            (pushed,) = then(tensor(prepared.as_ket(), marker.as_ket()), relation).rows
             assert composites == post_select(FinRel._trusted(1, n * m, (pushed,)), effects, m)
             assert oracle.kickback(prepared, marker, pair_out) == {t // m for t in pushed}
             # Any first-system state, not only the prepared one, is kicked back.
-            (pushed,) = oracle.push(tensor(state.as_ket(), marker.as_ket()),
-                                    pair_out.x_recode_inverse).rows
+            (pushed,) = then(tensor(state.as_ket(), marker.as_ket()), relation).rows
             kept = oracle.kickback(state, marker, pair_out)
             assert set(pushed) == {k * m + y for k in kept for y in marker.members}
 

@@ -179,10 +179,10 @@ class TestCheckRelation:
 HUGE = 10 ** 12
 
 
-def cap_address_space():
-    """A 1 GB address-space cap for a child, which turns a run that would
-    fill the machine into a fast MemoryError."""
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def cap_address_space(limit=1 << 30):
+    """An address-space cap for a child, 1 GB unless ``limit`` says, which
+    turns a run that would fill the machine into a fast MemoryError."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestHostileRelationFiles:
@@ -221,12 +221,14 @@ class TestOutOfMemory:
     def test_pair_too_large_to_hold_is_input_error(self, tmp_path):
         # With the size limit lifted, nothing refuses this pair before its
         # recoding and block index are built, and those outgrow the capped
-        # address space.
+        # address space.  A 256 MB cap reaches the MemoryError sooner than
+        # the shared 1 GB one.
         path = write_rel(tmp_path, identity(4))
         proc = subprocess.run(
             [sys.executable, "-c", UNLIMITED_CLI, "dj", "--pairA", "pair(Z1,Z3000000)",
              "--pairB", "pair(Z2,Z2)", "--oracle", path],
-            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: cap_address_space(1 << 28))
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "error: out of memory: the input is too large to hold\n")
 
@@ -251,8 +253,8 @@ class TestMemoryGuard:
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 150 * 1024
 
-    # A run pushes its state through the n^2-row oracle and stage tensors
-    # without building them, so n = 1024 fits where a built oracle would not.
+    # A run kicks its query back through the oracle's block index and builds
+    # no n^2-row relation, so n = 1024 fits where a built oracle would not.
     @pytest.mark.parametrize("verb,args", [
         ("dj", ["--pairA", "pair(Z32,Z32)"]),
         ("grover", ["--pairS", "pair(Z32,Z32)", "--sigma", "1"]),
@@ -265,6 +267,20 @@ class TestMemoryGuard:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 60 * 1024
+
+    def test_cnot_on_pair_z32_stays_under_150_mb(self):
+        # cnot writes its n^2 = 2^20 rows straight from the block index, with
+        # no identity relation on n^2 rows built beside them.  The child uses
+        # the release allocator even in development mode, whose debug hooks
+        # would add their own bytes to each of those rows.
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE, sys.executable, "-c",
+             "from qcrel.groupoids import cnot, parse_pair_spec; "
+             "cnot(parse_pair_spec('pair(Z32,Z32)'))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONMALLOC": "pymalloc"})
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 150 * 1024
 
     def test_search_over_8192_x_copies_stays_under_60_mb(self, tmp_path):
         # |H| = 8192: the search folds its reflection in closed form, with no
@@ -679,6 +695,12 @@ class TestEnumeratePairBudget:
         assert capsys.readouterr().err == (
             "error: census has 4^2 = 16 classical relations, beyond the budget of 15\n")
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "1"])
+    def test_refusal_states_the_count_whatever_the_budget(self, budget, capsys):
+        assert main(["enumerate", "--from", "Z2", "--to", "Z2", "--budget", budget]) == 1
+        assert capsys.readouterr() == ("", "error: census has 2^1 = 2 classical relations, "
+                                           f"beyond the budget of {budget}\n")
+
 
 class TestRunBudget:
     """A run whose pairs and table would take more than ``_SIZE_LIMIT`` rows
@@ -779,7 +801,7 @@ class TestRunsAreTheKickback:
         def refuse(*args, **kwargs):
             raise AssertionError("a run reached a staged engine")
 
-        monkeypatch.setattr(groupoids._ControlledBlocks, "push", refuse)
+        monkeypatch.setattr(groupoids._ControlledBlocks, "expand", refuse)
         for module in (relations, groupoids, hom_relations, algorithms):
             for name in ("then", "tensor", "symmetric_difference", "is_unitary", "fourier_rel",
                          "grover_diffusion"):

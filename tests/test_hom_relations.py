@@ -18,13 +18,20 @@ from qcrel.hom_relations import (
     is_surjective_on_objects,
 )
 from qcrel.relations import FinRel, converse, identity, then
-from reference import all_subsets, coords, hom_table, is_homomorphism
+from reference import (
+    all_subsets,
+    classical_relations_by_validation,
+    coords,
+    hom_table,
+    is_homomorphism,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 Z3 = parse_groupoid_spec("Z3")
 Z4 = parse_groupoid_spec("Z4")
 Z22 = parse_groupoid_spec("Z2^2")
+Z2 = parse_groupoid_spec("Z2")
 
 
 def srel(pairs, src=Z3, tgt=Z3):
@@ -103,6 +110,11 @@ REFERENCE_PAIRS = [
     (a, b) for a in REFERENCE_SPECS for b in REFERENCE_SPECS
     if parse_groupoid_spec(a).size * parse_groupoid_spec(b).size <= 12
 ]
+
+# Censuses past the brute-force reference's reach: several target copies,
+# groups of two factors, and one side a single element.
+LARGER_PAIRS = [("Z2xZ2^2", "Z2xZ4^2"), ("Z6^2", "Z4"), ("Z4", "Z2xZ2^3"), ("Z8^3", "Z4^2"),
+                ("Z1", "Z12"), ("Z12", "Z1")]
 
 
 def load_golden(name):
@@ -250,7 +262,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("a,b", REFERENCE_PAIRS, ids=[f"{a}->{b}" for a, b in REFERENCE_PAIRS])
     def test_structural_equals_reference(self, a, b):
         src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
-        assert enumerate_classical_relations(src, tgt) == reference_classical_relations(src, tgt)
+        found = enumerate_classical_relations(src, tgt)
+        assert found == reference_classical_relations(src, tgt)
+        assert found == classical_relations_by_validation(src, tgt)
+
+    @pytest.mark.parametrize("a,b", LARGER_PAIRS, ids=[f"{a}->{b}" for a, b in LARGER_PAIRS])
+    def test_trusted_blocks_equal_validated(self, a, b):
+        src, tgt = parse_groupoid_spec(a), parse_groupoid_spec(b)
+        assert enumerate_classical_relations(src, tgt) == classical_relations_by_validation(src, tgt)
 
     def test_budget_counts_relations(self):
         assert len(enumerate_classical_relations(Z22, Z22, max_relations=16)) == 16
@@ -263,6 +282,21 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="census has 2\\^17 = 131072 classical relations, "
                                              "beyond the budget of 65536"):
             enumerate_classical_relations(parse_groupoid_spec("Z1^17"), tgt)
+
+    def test_budget_zero_states_the_count(self):
+        with pytest.raises(ValueError, match="census has 2\\^1 = 2 classical relations, "
+                                             "beyond the budget of 0"):
+            enumerate_classical_relations(Z2, Z2, max_relations=0)
+
+    # Z2^c -> Z2 has 2^c members, 2 bits per copy: the count is stated while
+    # 2c <= 64, even past the default budget's 17 bits, and not beyond.
+    @pytest.mark.parametrize("copies,stated", [(18, " = 262144"), (32, " = 4294967296"),
+                                               (33, "")])
+    def test_count_is_stated_below_two_to_the_64(self, copies, stated):
+        message = f"census has 2^{copies}{stated} classical relations, beyond the budget of 65536"
+        with pytest.raises(ValueError) as excinfo:
+            enumerate_classical_relations(parse_groupoid_spec(f"Z2^{copies}"), Z2)
+        assert str(excinfo.value) == message
 
     def test_budget_refuses_huge_copy_count_without_the_power(self):
         with pytest.raises(ValueError, match="census has 2\\^1000000 classical relations"):
@@ -334,6 +368,7 @@ def test_census_characterization(a, b):
     if count > 4096:
         return
     rels = enumerate_classical_relations(src, tgt)
+    assert rels == classical_relations_by_validation(src, tgt)
     assert len(rels) == count
     keys = [r.sorted_pairs() for r in rels]
     assert all(x < y for x, y in zip(keys, keys[1:]))

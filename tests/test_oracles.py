@@ -1,6 +1,5 @@
 import functools
 import itertools
-import random
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -61,23 +60,13 @@ def reference_controlled_not(z, f_pairs, x_mult, size_out):
     return FinRel(size, size, pairs)
 
 
-def random_kets(size, rng, count=4):
-    """One-row states on ``size`` elements: empty, full and random subsets."""
-    members = [(), tuple(range(size))]
-    members += [tuple(sorted(rng.sample(range(size), rng.randint(1, size)))) for _ in range(count)]
-    return [FinRel._trusted(1, size, (row,)) for row in members]
-
-
-def assert_blocks_match_oracle(za, pair, f, oracle, rng):
+def assert_blocks_match_oracle(za, pair, f, oracle):
     """The block index against the built oracle: its bijectivity verdict is
-    is_unitary, and pushing a ket through it is composing with the oracle."""
-    blocks = _ControlledBlocks(za, f, pair.x, pair.x_recode)
-    assert blocks.bijective() == is_unitary(oracle)
-    for ket in random_kets(oracle.dom_size, rng):
-        assert blocks.push(ket, pair.x_recode_inverse) == then(ket, oracle)
+    is_unitary."""
+    assert _ControlledBlocks(za, f, pair.x, pair.x_recode).bijective() == is_unitary(oracle)
 
 
-def assert_fast_paths_match_reference(pair, blackboxes, rng):
+def assert_fast_paths_match_reference(pair, blackboxes):
     """cnot, is_complementary, build_oracle(unchecked=True) and the block
     index against the all-y loop."""
     n = pair.size
@@ -88,7 +77,7 @@ def assert_fast_paths_match_reference(pair, blackboxes, rng):
     for f in blackboxes:
         oracle = build_oracle(spec_for(pair, pair.z, f), unchecked=True)
         assert oracle == reference_controlled_not(pair.z, f.pairs, pair_x_mult, n)
-        assert_blocks_match_oracle(pair.z, pair, f, oracle, rng)
+        assert_blocks_match_oracle(pair.z, pair, f, oracle)
 
 
 class TestFastPathsMatchReference:
@@ -101,10 +90,9 @@ class TestFastPathsMatchReference:
         census = enumerate_classical_relations(canonical.z, canonical.z)
         blackboxes = [identity(n), full(n, n), *census[-2:]]
         verdicts = []
-        rng = random.Random(pairspec)
         for perm in itertools.permutations(range(n)):
             pair = ComplementaryPair(canonical.g, canonical.h, x_recode=perm)
-            assert_fast_paths_match_reference(pair, blackboxes, rng)
+            assert_fast_paths_match_reference(pair, blackboxes)
             verdicts.append(pair.is_complementary_pair())
         # Complementary recodings out of 24, 720, 720 and 24, as the all-y loop decides.
         assert sum(verdicts) == complementary
@@ -116,8 +104,7 @@ class TestFastPathsMatchReference:
         pair = ComplementaryPair(g, h, x_recode=data.draw(st.permutations(range(n))))
         cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         f = FinRel(n, n, data.draw(st.sets(cells, max_size=8)))
-        rng = random.Random(data.draw(st.integers(0, 1 << 16)))
-        assert_fast_paths_match_reference(pair, [f], rng)
+        assert_fast_paths_match_reference(pair, [f])
 
     def test_trusted_results_revalidate(self):
         pair, za = parse_pair_spec("pair(Z2,Z3)"), parse_groupoid_spec("Z2xZ2^2")
@@ -239,5 +226,4 @@ def test_oracle_equals_staged_reference(za, g, h, data):
     oracle = build_oracle(spec)
     assert oracle == oracle_by_pieces(spec)
     assert is_unitary(oracle)
-    rng = random.Random(data.draw(st.integers(0, 1 << 16)))
-    assert_blocks_match_oracle(za, pair, spec.f.rel, oracle, rng)
+    assert_blocks_match_oracle(za, pair, spec.f.rel, oracle)
